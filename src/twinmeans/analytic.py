@@ -11,13 +11,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 import numpy as np
 
 from .errors import EmptySetError
 from . import sieve
 from .sieve import IntervalPrimes, PrimeSeq, prime_stream
+
+if TYPE_CHECKING:
+    from .verify import BetaSpec
 
 # Euler-Mascheroni constant, 30 significant digits.
 EULER_GAMMA = 0.577215664901532860606512090082
@@ -228,20 +231,44 @@ def t_product(
     method: ProductMethod = ProductMethod.DIRECT,
     *,
     segment_size: Optional[int] = None,
+    ip: Optional[IntervalPrimes] = None,
 ) -> float:
-    """The interval ratio product T(x, y) for primes in (x, y]."""
-    ip = sieve.interval_primes(x, y, segment_size=segment_size)
+    """The interval ratio product T(x, y) for primes in (x, y].
+
+    Pass `ip`, the interval_primes of (x, y], to reuse a sieve pass.
+    """
+    if ip is None:
+        ip = sieve.interval_primes(x, y, segment_size=segment_size)
+    elif (ip.x, ip.y) != (int(x), int(y)):
+        raise ValueError(f"ip holds ({ip.x}, {ip.y}], not ({x}, {y}]")
     return math.exp(log_t_product(ip, method))
 
 
-def lemma2_check(x: int, c: float, *, segment_size: Optional[int] = None) -> AsymptoticCheck:
-    """Interval ratio product against beta^2/x^(beta-1) at y = floor(x^beta)."""
-    from .verify import beta_for  # deferred: verify builds on this module
+def lemma2_check(
+    x: int,
+    c: float,
+    *,
+    segment_size: Optional[int] = None,
+    spec: Optional[BetaSpec] = None,
+    ip: Optional[IntervalPrimes] = None,
+) -> AsymptoticCheck:
+    """Interval ratio product against beta^2/x^(beta-1) at y = floor(x^beta).
 
-    bs = beta_for(x, c)
-    obs = t_product(x, bs.y, ProductMethod.DIRECT, segment_size=segment_size)
+    A caller that already holds `spec` (verify.beta_for(x, c)) and `ip` (the
+    interval_primes of (x, spec.y]) passes them in, so that neither is
+    computed twice.
+    """
+    if spec is None:
+        from .verify import beta_for  # deferred: verify builds on this module
+
+        spec = beta_for(x, c)
+    elif (spec.x, spec.c) != (int(x), float(c)):
+        raise ValueError(f"spec is for x={spec.x}, c={spec.c}, not x={x}, c={c}")
+    obs = t_product(
+        x, spec.y, ProductMethod.DIRECT, segment_size=segment_size, ip=ip
+    )
     # x^(beta-1) = exp(c/log x), computed without the 1 + tiny exponent round trip
-    pred = bs.beta**2 / math.exp(c / math.log(x))
+    pred = spec.beta**2 / math.exp(c / math.log(x))
     return AsymptoticCheck(
         x=int(x),
         observed=obs,

@@ -15,6 +15,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from itertools import chain
 from typing import Optional, Sequence
 
 from . import analytic, selftest, sieve, verify
@@ -52,6 +53,8 @@ def _wire(v: float) -> str:
 
 
 def _json_scalar(v) -> str:
+    if type(v) is int:   # the common case first; a bool is not exactly int
+        return str(v)
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
@@ -65,6 +68,13 @@ def _json_scalar(v) -> str:
     if isinstance(v, str):
         return json.dumps(v)
     raise TypeError(f"unsupported report value {v!r}")
+
+
+_SCALAR_TYPES = {bool, int, float, str, type(None)}
+
+
+def _json_flat(items) -> str:
+    return "[" + ", ".join(map(_json_scalar, items)) + "]"
 
 
 def _render_json(obj, indent: int = 0) -> str:
@@ -81,6 +91,12 @@ def _render_json(obj, indent: int = 0) -> str:
         items = list(obj)
         if not items:
             return "[]"
+        # fast paths: a list of scalars, and a list of such lists (twin pairs)
+        kinds = set(map(type, items))
+        if kinds <= _SCALAR_TYPES:
+            return _json_flat(items)
+        if kinds <= {list, tuple} and set(map(type, chain.from_iterable(items))) <= _SCALAR_TYPES:
+            return "[" + ", ".join([_json_flat(v) for v in items]) + "]"
         if any(isinstance(v, dict) for v in items):
             body = ",\n".join(f"{pad}  {_render_json(v, indent + 1)}" for v in items)
             return "[\n" + body + "\n" + pad + "]"
@@ -129,7 +145,7 @@ def _emit_row_table(fields: Sequence[str], rows: Sequence[dict], out) -> None:
         print(line.rstrip(), file=out)
 
 
-def _pairs_preview(pairs: Sequence[tuple[int, int]], limit: int = 8) -> str:
+def _pairs_preview(pairs: Sequence[Sequence[int]], limit: int = 8) -> str:
     shown = " ".join(f"({a}, {b})" for a, b in pairs[:limit])
     extra = len(pairs) - limit
     return shown + (f" ... +{extra} more" if extra > 0 else "") if pairs else "none"
@@ -412,9 +428,10 @@ def _cmd_lemma1(args, parser) -> int:
 
 def _cmd_lemma2(args, parser) -> int:
     _validate_beta_args(args, parser)
-    chk = analytic.lemma2_check(args.x, args.c)
     bs = verify.beta_for(args.x, args.c)
-    tele = analytic.t_product(args.x, bs.y, ProductMethod.TELESCOPED)
+    ip = sieve.interval_primes(args.x, bs.y)   # one sieve pass feeds both routes
+    chk = analytic.lemma2_check(args.x, args.c, spec=bs, ip=ip)
+    tele = analytic.t_product(args.x, bs.y, ProductMethod.TELESCOPED, ip=ip)
     payload = dict(
         check_payload(chk),
         c=args.c,
@@ -437,9 +454,7 @@ def _validate_beta_args(args, parser) -> None:
 def _theorem1_table(payload: dict) -> list[tuple[str, str]]:
     pairs = _kv_default(payload)
     if "twin_pairs" in payload:
-        pairs.append(
-            ("twin_pairs", _pairs_preview([tuple(t) for t in payload["twin_pairs"]]))
-        )
+        pairs.append(("twin_pairs", _pairs_preview(payload["twin_pairs"])))
     return pairs
 
 

@@ -1,17 +1,23 @@
 """Ratio sets over prime intervals and numerically stable power means.
 
-Ratio elements are kept as exact integer pairs; every comparison between
-them is an integer cross-multiplication, never a float compare.  The float
+A ratio set is its interval primes as an int64 array plus the successor
+prime; the RatioElement objects, exact integer pairs, are made only on
+demand.  Every decision between ratios is exact: a float may narrow the
+candidates, but Python-int cross-multiplication settles them.  The float
 reductions (power means, geometric mean) all go through math.fsum.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from functools import cached_property
+from typing import Union
+
+import numpy as np
 
 from .errors import EmptySetError
 from .sieve import IntervalPrimes
@@ -76,13 +82,98 @@ class RatioElement:
     __hash__ = None  # mutable dataclass with value equality; keep it unhashable
 
 
+class RatioElements(Sequence[RatioElement]):
+    """Lazy RatioElement view of a RatioSet: element n is p_n/(p_{n+1}-2).
+
+    Elements are made on access, so the view costs nothing per prime.
+    power_mean and mean_limit recognise it and read the set's arrays instead
+    of iterating it.
+    """
+
+    __slots__ = ("ratio_set",)
+
+    def __init__(self, ratio_set: "RatioSet"):
+        self.ratio_set = ratio_set
+
+    def __len__(self) -> int:
+        return int(self.ratio_set.primes.size)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        ps = self.ratio_set.primes
+        p = int(ps[i])   # numpy indexing: negative indices, IndexError past the end
+        return RatioElement(p, p + int(self.ratio_set.k[i]))
+
+    def __iter__(self) -> Iterator[RatioElement]:
+        rs = self.ratio_set
+        return map(RatioElement, rs.primes.tolist(), (rs.primes + rs.k).tolist())
+
+
 @dataclass(eq=False)
 class RatioSet:
-    """Ratio elements of a prime interval (x, y], one per interval prime."""
+    """Ratio set of a prime interval (x, y]: one p_n/(p_{n+1}-2) per prime.
+
+    Held as the interval primes (int64, increasing, all above 2) plus p_e,
+    the first prime past y.  The excess k_n = p_{n+1} - 2 - p_n >= 0 orders
+    the elements: p_n/(p_n + k_n) = 1/(1 + k_n/p_n), so a smaller k/p is a
+    larger element and k_n == 0 is exactly 1, a twin pair (p_n, p_n + 2).
+    The exact sup and inf are found once per set, on first use: a float
+    k/p (a correctly rounded, hence monotone, quotient) narrows the
+    candidates and Python-int cross-multiplication settles them.  No product
+    of two primes is formed in int64; near the 1e10 cap it would pass 2^63.
+    """
 
     x: int
     y: int
-    elements: list[RatioElement]
+    primes: np.ndarray
+    p_e: int
+
+    def __post_init__(self):
+        if self.primes.size == 0:
+            raise EmptySetError(
+                f"no primes in ({self.x}, {self.y}]; ratio set undefined"
+            )
+        if int(self.primes[0]) <= 2:
+            raise ValueError("ratio sets need interval primes above 2 (x >= 2)")
+
+    @property
+    def elements(self) -> RatioElements:
+        return RatioElements(self)
+
+    @cached_property
+    def k(self) -> np.ndarray:
+        return np.diff(self.primes, append=self.p_e) - 2
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """Element values p/(p+k), each one correctly rounded double."""
+        return self.primes / (self.primes + self.k)
+
+    @cached_property
+    def sup(self) -> RatioElement:
+        return self._extreme(top=True)
+
+    @cached_property
+    def inf(self) -> RatioElement:
+        return self._extreme(top=False)
+
+    def twin_pairs(self) -> list[tuple[int, int]]:
+        """Twin pairs (p, p+2) with x < p <= y; p+2 may be p_e."""
+        return [(p, p + 2) for p in self.primes[self.k == 0].tolist()]
+
+    def _extreme(self, top: bool) -> RatioElement:
+        ps, k = self.primes, self.k
+        f = k / ps
+        best = int(np.argmin(f) if top else np.argmax(f))
+        if k[best] != 0:   # every k == 0 element is exactly 1: no tie to settle
+            kb, pb = int(k[best]), int(ps[best])
+            for j in np.flatnonzero(f == f[best]).tolist():
+                kj, pj = int(k[j]), int(ps[j])
+                if (kj * pb < kb * pj) if top else (kj * pb > kb * pj):
+                    best, kb, pb = j, kj, pj
+        p = int(ps[best])
+        return RatioElement(p, p + int(k[best]))
 
 
 @dataclass(frozen=True)
@@ -97,18 +188,13 @@ class MeanValue:
 
 def build_ratio_set(ip: IntervalPrimes) -> RatioSet:
     """One element p_n/(p_{n+1}-2) per prime in (x, y]; the last uses p_e."""
-    ps = ip.primes
-    if ps.size == 0:
-        raise EmptySetError(f"no primes in ({ip.x}, {ip.y}]; ratio set undefined")
-    if int(ps[0]) <= 2:
-        raise ValueError("ratio sets need interval primes above 2 (x >= 2)")
-    seq = [int(p) for p in ps] + [ip.p_e]
-    elems = [RatioElement(a, b - 2) for a, b in zip(seq, seq[1:])]
-    return RatioSet(x=ip.x, y=ip.y, elements=elems)
+    return RatioSet(x=ip.x, y=ip.y, primes=ip.primes, p_e=ip.p_e)
 
 
 def max_element(elements: Iterable[RatioElement]) -> RatioElement:
     """Exact maximum; short-circuits on a twin ratio since values cap at 1."""
+    if isinstance(elements, RatioElements):
+        return elements.ratio_set.sup
     it = iter(elements)
     try:
         best = next(it)
@@ -123,6 +209,8 @@ def max_element(elements: Iterable[RatioElement]) -> RatioElement:
 
 
 def min_element(elements: Iterable[RatioElement]) -> RatioElement:
+    if isinstance(elements, RatioElements):
+        return elements.ratio_set.inf
     it = iter(elements)
     try:
         best = next(it)
@@ -137,12 +225,31 @@ def min_element(elements: Iterable[RatioElement]) -> RatioElement:
 Values = Union[Sequence[float], Sequence[RatioElement]]
 
 
-def _checked_floats(elems: list) -> list[float]:
-    vals = [float(v) for v in elems]
-    for v in vals:
-        if not math.isfinite(v) or v <= 0.0:
-            raise ValueError("power means need strictly positive finite values")
+def _checked_floats(elems: list) -> np.ndarray:
+    vals = np.array([float(v) for v in elems])
+    if not np.all(np.isfinite(vals) & (vals > 0.0)):
+        raise ValueError("power means need strictly positive finite values")
     return vals
+
+
+def _terms(values: Values, top: bool, what: str) -> tuple[np.ndarray, float]:
+    """The values as a float array and m, their max (top) or min.
+
+    A ratio value is one correctly rounded division and m is the value of
+    the exact extreme element; rounding is monotone, so every v/m lies on
+    the same side of 1 as the exact ratio does.
+    """
+    if isinstance(values, RatioElements):
+        vals = values.ratio_set.values
+    else:
+        values = list(values)
+        if not values:
+            raise EmptySetError(f"{what} of an empty set")
+        if not isinstance(values[0], RatioElement):
+            vals = _checked_floats(values)
+            return vals, float(vals.max() if top else vals.min())
+        vals = np.array([e.value for e in values])
+    return vals, (max_element if top else min_element)(values).value
 
 
 def power_mean(values: Values, alpha: float) -> MeanValue:
@@ -151,50 +258,44 @@ def power_mean(values: Values, alpha: float) -> MeanValue:
     Evaluated in the factored form m * ((1/N) sum (v_i/m)^alpha)^(1/alpha)
     with m the max (alpha > 0) or min (alpha < 0), so every scaled term lies
     in (0, 1] and no intermediate can overflow.  The scaled-term sum is
-    compensated, which keeps the result within a few ulps of exact.
-    Use mean_limit for alpha -> 0 and +-inf.
+    compensated, which keeps the result within a few ulps of exact.  A
+    RatioSet's elements view is reduced over the set's arrays, with m its
+    cached exact sup or inf.  Use mean_limit for alpha -> 0 and +-inf.
     """
     alpha = float(alpha)
     if not math.isfinite(alpha) or alpha == 0.0:
         raise ValueError("alpha must be finite and nonzero; use mean_limit for limits")
-    elems = list(values)
-    n = len(elems)
-    if n == 0:
-        raise EmptySetError("power mean of an empty set")
-    if isinstance(elems[0], RatioElement):
-        ref = max_element(elems) if alpha > 0 else min_element(elems)
-        # one correctly-rounded division per element from exact integer products
-        scaled = [(e.num * ref.den) / (e.den * ref.num) for e in elems]
-        m = ref.value
-    else:
-        vals = _checked_floats(elems)
-        m = max(vals) if alpha > 0 else min(vals)
-        scaled = [v / m for v in vals]
-    s = math.fsum(t**alpha for t in scaled) / n
+    vals, m = _terms(values, alpha > 0, "power mean")
+    n = int(vals.size)
+    s = math.fsum(((vals / m) ** alpha).tolist()) / n
     return MeanValue(alpha=alpha, value=m * s ** (1.0 / alpha), count=n)
+
+
+def _log_terms(values: Values) -> np.ndarray:
+    if isinstance(values, RatioElements):
+        rs = values.ratio_set
+        # log(p/(p+k)) = log1p(-k/(p+k)), exact numerator and denominator
+        return np.log1p(-rs.k / (rs.primes + rs.k))
+    elems = list(values)
+    if not elems:
+        raise EmptySetError("mean limit of an empty set")
+    if isinstance(elems[0], RatioElement):
+        return np.log1p(np.array([(e.num - e.den) / e.den for e in elems]))
+    return np.log(_checked_floats(elems))
 
 
 def mean_limit(values: Values, which: MeanLimit) -> MeanValue:
     """The alpha -> 0 (geometric) and alpha -> +-inf (max/min) mean limits.
 
-    On RatioElements the sup/inf are chosen by exact integer comparison and
-    the geometric mean runs on log1p of the exact pair differences.
+    On ratio elements the sup/inf are the exact extremes and the geometric
+    mean runs on log1p of the exact pair differences.
     """
     if not isinstance(which, MeanLimit):
         raise ValueError(f"unknown mean limit {which!r}")
-    elems = list(values)
-    n = len(elems)
-    if n == 0:
-        raise EmptySetError("mean limit of an empty set")
-    ratio = isinstance(elems[0], RatioElement)
-    if which is MeanLimit.PLUS_INF:
-        v = max_element(elems).value if ratio else max(_checked_floats(elems))
-        return MeanValue(alpha=math.inf, value=v, count=n)
-    if which is MeanLimit.MINUS_INF:
-        v = min_element(elems).value if ratio else min(_checked_floats(elems))
-        return MeanValue(alpha=-math.inf, value=v, count=n)
-    if ratio:
-        logs = (math.log1p((e.num - e.den) / e.den) for e in elems)
-    else:
-        logs = (math.log(v) for v in _checked_floats(elems))
-    return MeanValue(alpha=0.0, value=math.exp(math.fsum(logs) / n), count=n)
+    if which is MeanLimit.ZERO:
+        logs = _log_terms(values)
+        n = int(logs.size)
+        return MeanValue(alpha=0.0, value=math.exp(math.fsum(logs.tolist()) / n), count=n)
+    top = which is MeanLimit.PLUS_INF
+    vals, m = _terms(values, top, "mean limit")
+    return MeanValue(alpha=math.inf if top else -math.inf, value=m, count=int(vals.size))

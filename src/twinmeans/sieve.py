@@ -3,7 +3,10 @@
 Everything here sieves odd numbers only (2 is special-cased) in fixed-size
 windows, so memory is bounded by the segment size rather than the limit, and
 the output is bit-identical for any segment size.  Results are int64 numpy
-arrays throughout; the desk-scale cap keeps p*(p+2) far from overflow.
+arrays throughout.  A prime itself fits int64 with room to spare, but a
+product of two primes does not: near the MAX_SIEVE_LIMIT = 1e10 cap, p*q
+reaches 1e20 > 2^63.  Code that compares ratios of primes therefore
+cross-multiplies Python ints, never int64 arrays.
 """
 
 from __future__ import annotations
@@ -246,11 +249,18 @@ def max_gap_up_to(
 def twin_pairs_in(
     x: int, y: int, *, segment_size: Optional[int] = None
 ) -> list[tuple[int, int]]:
-    """Twin pairs (p, p+2), both prime, with x < p <= y."""
+    """Twin pairs (p, p+2), both prime, with x < p <= y.
+
+    The cap applies to y; the look-ahead to y + 2 for a co-twin may pass it.
+    """
     x, y = int(x), int(y)
     if not 0 < x < y:
         raise ValueError("need 0 < x < y")
-    chunks = list(iter_prime_segments(x, y + 2, segment_size=segment_size))
+    if y > MAX_SIEVE_LIMIT:
+        raise CapacityError(f"limit {y} exceeds configured maximum {MAX_SIEVE_LIMIT}")
+    chunks = list(
+        iter_prime_segments(x, y + 2, segment_size=segment_size, max_limit=y + 2)
+    )
     if not chunks:
         return []
     arr = np.concatenate(chunks)

@@ -1,14 +1,17 @@
 """Interval mean reports and the exact twin-pair criterion.
 
-The criterion path never touches floats: the sup of a ratio set and the
-threshold P/(P+2) are compared as exact rationals, and the resulting
-decision is required to match a brute-force twin scan of the same interval.
+The criterion is decided in exact rationals: the sup of a ratio set (exact,
+see means.RatioSet) and the threshold P/(P+2) are compared as Fractions, and
+the resulting decision is required to match a brute-force twin scan of the
+same interval.  An interval report sieves its interval once and takes the
+ratio set, the product and the twin pairs from that one IntervalPrimes.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -109,7 +112,7 @@ def theorem1_report(x: int, c: float) -> Theorem1Row:
     n = len(rs.elements)
     log_t = analytic.log_t_product(ip, ProductMethod.DIRECT)
     logx = math.log(x)
-    mx = means.max_element(rs.elements)
+    mx = rs.sup
     # 1 - m0 through expm1 keeps the residual accurate when m0 is near 1
     one_minus_m0 = -math.expm1(log_t / n)
     pi_approx = bs.x_beta / (bs.beta * logx)
@@ -121,7 +124,7 @@ def theorem1_report(x: int, c: float) -> Theorem1Row:
         m_inf_value=mx.value,
         lower_bound=1.0 - c / bs.x_beta,
         criterion_threshold=Fraction(ip.P, ip.P + 2),
-        twin_pairs=sieve.twin_pairs_in(x, bs.y),
+        twin_pairs=rs.twin_pairs(),
         residual=bs.x_beta * one_minus_m0 / c - 1.0,
         logz_crosscheck=(log_t - (2.0 * math.log(bs.beta) - (bs.beta - 1.0) * logx))
         / n,
@@ -139,9 +142,7 @@ def twin_criterion(x: int, y: int) -> CriterionReport:
     ip = sieve.interval_primes(x, y)
     if ip.primes.size == 0:
         raise EmptySetError(f"no primes in ({x}, {y}]")
-    rs = means.build_ratio_set(ip)
-    mx = means.max_element(rs.elements)
-    m_inf = mx.as_fraction()
+    m_inf = means.build_ratio_set(ip).sup.as_fraction()
     threshold = Fraction(ip.P, ip.P + 2)
     return CriterionReport(
         x=int(x),
@@ -154,24 +155,49 @@ def twin_criterion(x: int, y: int) -> CriterionReport:
     )
 
 
+def _failure(x: int, exc: BaseException):
+    return ("err", (x, f"{type(exc).__name__}: {exc}"))
+
+
 def _scan_one(task: tuple[int, float]):
     x, c = task
     try:
         return ("ok", theorem1_report(x, c))
     except Exception as exc:  # collected per row, scan continues
-        return ("err", (x, f"{type(exc).__name__}: {exc}"))
+        return _failure(x, exc)
+
+
+def _submit(pool: ProcessPoolExecutor, task: tuple[int, float]) -> Future:
+    try:
+        return pool.submit(_scan_one, task)
+    except BrokenProcessPool as exc:   # the pool broke while rows were queued
+        fut: Future = Future()
+        fut.set_exception(exc)
+        return fut
+
+
+def _scan_result(fut: Future, x: int):
+    try:
+        return fut.result()
+    except BrokenProcessPool as exc:   # a worker died: every row it took down fails
+        return _failure(x, exc)
 
 
 def theorem1_scan(
     x_values: Sequence[int], c: float, *, jobs: int = 1
 ) -> tuple[list[Theorem1Row], list[tuple[int, str]]]:
-    """theorem1_report across x values; failures collected, order preserved."""
+    """theorem1_report across x values; failures collected, order preserved.
+
+    With jobs > 1 a worker process that dies (killed, out of memory) turns
+    the rows it had not finished into failures instead of ending the scan.
+    """
     tasks = [(int(x), float(c)) for x in x_values]
     if jobs <= 1:
         results: Iterable = map(_scan_one, tasks)
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_scan_one, tasks))
+            futures = [_submit(pool, t) for t in tasks]
+            results = [_scan_result(f, x) for f, (x, _) in zip(futures, tasks)]
     rows: list[Theorem1Row] = []
     failures: list[tuple[int, str]] = []
     for tag, payload in results:

@@ -93,3 +93,13 @@ def power_mean_float(values: list[float], alpha: float) -> float:
 
 def geometric_mean_float(values: list[float]) -> float:
     return math.exp(sum(math.log(v) for v in values) / len(values))
+
+
+def power_mean_exact(ratios: list[Fraction], alpha: int) -> float:
+    """Power mean of exact ratios, in the factored form around the exact max
+    (alpha > 0) or min.  Each scaled term (r/m)^alpha is an exact Fraction,
+    rounded once to a float and summed exactly (fsum); only the mean, the
+    root and the product with m round again."""
+    m = max(ratios) if alpha > 0 else min(ratios)
+    s = math.fsum(float((r / m) ** alpha) for r in ratios) / len(ratios)
+    return float(m) * s ** (1.0 / alpha)
