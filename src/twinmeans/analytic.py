@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -35,15 +35,18 @@ class ProductMethod(Enum):
 class ConstantsBundle:
     """Estimated series constants and the values derived from them.
 
-    tail_radius bounds the truncation error of both M and C at `cutoff`.
+    tail_radius_M and tail_radius_C bound the truncation errors of M and C
+    at `cutoff`; tail_radius is the larger of the two.
     """
 
+    cutoff: int
     M: float
     C: float
     D_prime: float
     D: float
-    cutoff: int
     tail_radius: float
+    tail_radius_M: float
+    tail_radius_C: float
 
 
 @dataclass(frozen=True)
@@ -56,10 +59,6 @@ class AsymptoticCheck:
     predicted: float
     scaled_residual: float
     scale_note: str
-
-
-def _fsum_stream(parts: Iterable[float]) -> float:
-    return math.fsum(parts)
 
 
 def mertens_sum(
@@ -76,7 +75,7 @@ def mertens_sum(
         math.fsum(1.0 / seg)
         for seg in prime_stream(x, cache=cache, segment_size=segment_size)
     )
-    return _fsum_stream(parts)
+    return math.fsum(parts)
 
 
 def mertens_check(
@@ -113,7 +112,7 @@ def estimate_C(
     for seg in prime_stream(cutoff, lo=2, cache=cache, segment_size=segment_size):
         a = 2.0 / seg
         parts.append(math.fsum(np.log1p(-a) + a))
-    return -_fsum_stream(parts), 6.0 / cutoff
+    return -math.fsum(parts), 6.0 / cutoff
 
 
 def estimate_M(
@@ -134,23 +133,30 @@ def estimate_M(
     for seg in prime_stream(cutoff, cache=cache, segment_size=segment_size):
         a = 1.0 / seg
         parts.append(math.fsum(np.log1p(-a) + a))
-    return EULER_GAMMA + _fsum_stream(parts), 1.0 / cutoff
+    return EULER_GAMMA + math.fsum(parts), 1.0 / cutoff
 
 
 def derived_constants(
-    M: float, C: float, *, cutoff: int = 0, tail_radius: float = 0.0
+    M: float,
+    C: float,
+    *,
+    cutoff: int = 0,
+    tail_radius_M: float = 0.0,
+    tail_radius_C: float = 0.0,
 ) -> ConstantsBundle:
     """Bundle M and C with D' = 2M + C - 1 and D = D' + log 2."""
     if not (math.isfinite(M) and math.isfinite(C)):
         raise ValueError("M and C must be finite")
     d_prime = 2.0 * M + C - 1.0
     return ConstantsBundle(
+        cutoff=int(cutoff),
         M=M,
         C=C,
         D_prime=d_prime,
         D=d_prime + math.log(2.0),
-        cutoff=int(cutoff),
-        tail_radius=float(tail_radius),
+        tail_radius=float(max(tail_radius_M, tail_radius_C)),
+        tail_radius_M=float(tail_radius_M),
+        tail_radius_C=float(tail_radius_C),
     )
 
 
@@ -164,7 +170,7 @@ def compute_constants(
     m_hat, m_tail = estimate_M(cutoff, cache=cache, segment_size=segment_size)
     c_hat, c_tail = estimate_C(cutoff, cache=cache, segment_size=segment_size)
     return derived_constants(
-        m_hat, c_hat, cutoff=cutoff, tail_radius=max(m_tail, c_tail)
+        m_hat, c_hat, cutoff=cutoff, tail_radius_M=m_tail, tail_radius_C=c_tail
     )
 
 
@@ -182,7 +188,7 @@ def twin_product(
         math.fsum(np.log1p(-2.0 / seg))
         for seg in prime_stream(x, lo=2, cache=cache, segment_size=segment_size)
     )
-    return 0.5 * math.exp(_fsum_stream(parts))
+    return 0.5 * math.exp(math.fsum(parts))
 
 
 def lemma1_check(

@@ -20,8 +20,9 @@ from . import analytic, means, sieve
 from .analytic import ProductMethod
 from .errors import EmptySetError
 
-# default acceptance window for the interval-exponent parameter c
+# accepted window for the interval-exponent parameter c, and the smallest x
 C_RANGE = (0.1, 4.0)
+X_MIN = 10
 
 
 @dataclass(frozen=True)
@@ -56,14 +57,18 @@ class Theorem1Row:
     pi_interval: int
     m0: float
     m_inf: Fraction
-    m_inf_value: float
     lower_bound: float
     criterion_threshold: Fraction
-    twin_pairs: list[tuple[int, int]]
     residual: float
     logz_crosscheck: float
     pi_approx: float
     residual_approx_pi: float
+    twin_pairs: list[tuple[int, int]]
+
+    @property
+    def m_inf_value(self) -> float:
+        """m_inf as the nearest double."""
+        return float(self.m_inf)
 
 
 @dataclass(frozen=True)
@@ -79,18 +84,18 @@ class CriterionReport:
     brute_force_twins: list[tuple[int, int]]
 
 
-def beta_for(x: int, c: float, *, c_range: tuple[float, float] = C_RANGE) -> BetaSpec:
+def beta_for(x: int, c: float) -> BetaSpec:
     """Exponent and endpoint for the interval (x, x^beta].
 
     x^beta = x * exp(c/log x); the endpoint is floored to an integer, which
-    changes no prime membership.  c outside `c_range` and intervals that
-    collapse to nothing are rejected.
+    changes no prime membership.  x below X_MIN, c outside C_RANGE and
+    intervals that collapse to nothing are rejected.
     """
     x = int(x)
     c = float(c)
-    if x < 10:
-        raise ValueError("need x >= 10")
-    lo, hi = c_range
+    if x < X_MIN:
+        raise ValueError(f"need x >= {X_MIN}")
+    lo, hi = C_RANGE
     if not lo <= c <= hi:
         raise ValueError(f"c={c} outside accepted range [{lo}, {hi}]")
     logx = math.log(x)
@@ -112,7 +117,6 @@ def theorem1_report(x: int, c: float) -> Theorem1Row:
     n = len(rs.elements)
     log_t = analytic.log_t_product(ip, ProductMethod.DIRECT)
     logx = math.log(x)
-    mx = rs.sup
     # 1 - m0 through expm1 keeps the residual accurate when m0 is near 1
     one_minus_m0 = -math.expm1(log_t / n)
     pi_approx = bs.x_beta / (bs.beta * logx)
@@ -120,16 +124,15 @@ def theorem1_report(x: int, c: float) -> Theorem1Row:
         interval=bs,
         pi_interval=n,
         m0=math.exp(log_t / n),
-        m_inf=mx.as_fraction(),
-        m_inf_value=mx.value,
+        m_inf=rs.sup.as_fraction(),
         lower_bound=1.0 - c / bs.x_beta,
         criterion_threshold=Fraction(ip.P, ip.P + 2),
-        twin_pairs=rs.twin_pairs(),
         residual=bs.x_beta * one_minus_m0 / c - 1.0,
         logz_crosscheck=(log_t - (2.0 * math.log(bs.beta) - (bs.beta - 1.0) * logx))
         / n,
         pi_approx=pi_approx,
         residual_approx_pi=bs.x_beta * -math.expm1(log_t / pi_approx) / c - 1.0,
+        twin_pairs=rs.twin_pairs(),
     )
 
 

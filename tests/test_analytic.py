@@ -138,6 +138,7 @@ def test_compute_constants_bundles_consistently():
     assert b.D_prime == pytest.approx(2 * m + c - 1, rel=1e-15)
     assert b.D == pytest.approx(b.D_prime + math.log(2), rel=1e-15)
     assert b.cutoff == 1_000
+    assert (b.tail_radius_M, b.tail_radius_C) == (mt, ct)
     assert b.tail_radius == max(mt, ct)
 
 

@@ -6,12 +6,13 @@ from parsed output and compare them against the library results.
 """
 
 import csv
+import dataclasses
 import io
 import json
 
 import pytest
 
-from twinmeans import analytic, cli, sieve, verify
+from twinmeans import analytic, cli, selftest, sieve, verify
 
 
 def run_cmd(capsys, *argv):
@@ -78,32 +79,66 @@ def test_json_preserves_doubles_exactly(capsys):
 # json round-trips back to report objects
 
 
-def test_theorem1_json_roundtrip(capsys):
-    rc, out, _ = run_cmd(capsys, "theorem1", "--x", "100", "--format", "json")
+def _mertens_check():
+    m_hat, _ = analytic.estimate_M(10_000)
+    return analytic.mertens_check(10_000, m_hat)
+
+
+def _check_json_roundtrip(capsys, argv, cls, library):
+    """parse -> from_payload -> to_payload -> render gives stdout back, byte
+    for byte, and the rebuilt report equals the library's."""
+    rc, out, _ = run_cmd(capsys, *argv.split(), "--format", "json")
     assert rc == 0
-    row = cli.theorem1_row_from_dict(json.loads(out))
-    assert row == verify.theorem1_report(100, 1.0)
+    doc = json.loads(out)
+    report = cli.from_payload(cls, doc)
+    extra = {k: v for k, v in doc.items() if k not in cli.to_payload(report)}
+    assert cli._render_json(cli.to_payload(report, **extra)) + "\n" == out
+    expected = library()
+    if cls is selftest.SelftestReport:   # the run time is the one varying field
+        expected = dataclasses.replace(expected, elapsed_s=report.elapsed_s)
+    assert report == expected
+
+
+def test_theorem1_json_roundtrip(capsys):
+    _check_json_roundtrip(
+        capsys, "theorem1 --x 100", verify.Theorem1Row,
+        lambda: verify.theorem1_report(100, 1.0),
+    )
 
 
 def test_criterion_json_roundtrip(capsys):
-    rc, out, _ = run_cmd(capsys, "criterion", "--x", "10", "--y", "20", "--format", "json")
-    assert rc == 0
-    rep = cli.criterion_from_dict(json.loads(out))
-    assert rep == verify.twin_criterion(10, 20)
+    _check_json_roundtrip(
+        capsys, "criterion --x 10 --y 20", verify.CriterionReport,
+        lambda: verify.twin_criterion(10, 20),
+    )
 
 
 def test_constants_json_roundtrip(capsys):
-    rc, out, _ = run_cmd(capsys, "constants", "--cutoff", "1000", "--format", "json")
-    assert rc == 0
-    bundle = cli.bundle_from_dict(json.loads(out))
-    assert bundle == analytic.compute_constants(1_000)
+    _check_json_roundtrip(
+        capsys, "constants --cutoff 1000", analytic.ConstantsBundle,
+        lambda: analytic.compute_constants(1_000),
+    )
 
 
 def test_gaps_json_roundtrip(capsys):
-    rc, out, _ = run_cmd(capsys, "gaps", "--limit", "1000", "--format", "json")
-    assert rc == 0
-    rec = cli.gap_from_dict(json.loads(out))
-    assert rec == sieve.max_gap_up_to(1_000)
+    _check_json_roundtrip(
+        capsys, "gaps --limit 1000", sieve.GapRecord,
+        lambda: sieve.max_gap_up_to(1_000),
+    )
+
+
+def test_mertens_json_roundtrip(capsys):
+    _check_json_roundtrip(
+        capsys, "mertens --x 10000 --cutoff 10000", analytic.AsymptoticCheck,
+        _mertens_check,
+    )
+
+
+def test_selftest_json_roundtrip(capsys):
+    _check_json_roundtrip(
+        capsys, "selftest --seed 0 --sets 5", selftest.SelftestReport,
+        lambda: selftest.run_selftest(0, 5),
+    )
 
 
 # ---------------------------------------------------------------------------

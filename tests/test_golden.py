@@ -1,14 +1,27 @@
-"""Golden stdout: sha256 of theorem1, lemma2, criterion and scan output.
+"""Golden output: sha256 of every subcommand's stdout, and of stderr plus the
+exit code on a corpus of argument and computation errors.
 
-The hashes were taken from the commands' stdout before the ratio sets became
-array-backed, so any byte that moves in the json, csv or table output of these
-commands shows here.  The criterion corpus holds one twinless window,
-(10000000, 10000100], whose sup is the strict 10000079/10000101.  To
-regenerate after a deliberate output change, print
-hashlib.sha256(out.encode()).hexdigest() for each argv below.
+The theorem1, lemma2, criterion and scan hashes were taken before the ratio
+sets became array-backed; the primes, gaps, mertens, constants, lemma1,
+selftest and --help hashes and the error corpus were taken before the report
+payloads and the argument checks became table-driven.  Any byte that moves in the
+json, csv or table output, in a usage message or in an exit code shows here.
+The criterion corpus holds one twinless window, (10000000, 10000100], whose
+sup is the strict 10000079/10000101.  selftest reports its own run time, so
+its elapsed_s value is masked before hashing.  Usage and help text is
+wrapped at COLUMNS=80.
+
+To regenerate after a deliberate output change, run
+`PYTHONPATH=src python tests/test_golden.py` and paste the two tables it
+prints.
 """
 
 import hashlib
+import io
+import os
+import re
+import shlex
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -48,12 +61,121 @@ GOLDEN = [
     ("criterion --x 10000000 --y 10000500 --format table", "89657ffcc772972bebf8710bf00f68120ea585bc67c9fdc36b03c26b787ee2f2"),
     ("criterion --x 10000000 --y 10000100 --format table", "a96af2e0971b20eee33650ff30536bf2ff4455305e8f0707bf16eb933a0b75c7"),
     ("scan --x-values 1e4,1e6,1e7 --c 1 --format table", "cc376c192e2d119336ff45ac440d52c8d2444d097ae406d49fd9271949e5a612"),
+    ("primes --limit 1e5 --format json", "db8297a4ca19399c82fa63a82d34192d748fbe3bd13aede4f502781895c96ddd"),
+    ("gaps --limit 1e5 --format json", "5b5123d449a558af420bca5873eb26c6110973acb670097d54608323ad054ae1"),
+    ("mertens --x 1e5 --cutoff 1e4 --format json", "afee826bb912d71fed07c7a1116e9351122a7fcb4103e1d48ec5a8d60d1a6f1a"),
+    ("constants --cutoff 1e5 --format json", "14e12fc8a22f8e5207748f0d4db687f26eb663abca77e7e45da1d1929106b7b0"),
+    ("lemma1 --x 1e5 --cutoff 1e5 --format json", "f11fa7caf5f0bec9cc75a2853a9ec9630adb5c56e0998f183cb0aee6056d66cb"),
+    ("primes --limit 1 --format json", "1be5f80f28b4f5e2d263b40dab8b1b5f1046b5746a3a8312bb2f27813d4cf281"),
+    ("selftest --seed 0 --sets 5 --format json", "8a06d6380b85b390e2b4c569ef75dbafcb77e5a05839b30c477241473ad33569"),
+    ("primes --limit 1e5 --format csv", "c2ad5eb5d77eb4e9233fb5490c5455b1d86de6a4f836b8b7cb06bbea33e2367a"),
+    ("gaps --limit 1e5 --format csv", "8e049f5b7d4fc84d02c6b214e3019a25dac937312d609cb36160f1e201e184b9"),
+    ("mertens --x 1e5 --cutoff 1e4 --format csv", "152371a89fdec4e4f935f3bc20712c90b9b797eed063618a69f83478a84bfa9e"),
+    ("constants --cutoff 1e5 --format csv", "0ede88574c1c2ed5617916e844ed84d1957377579023837f488781db9d02c5c7"),
+    ("lemma1 --x 1e5 --cutoff 1e5 --format csv", "f89fb67c127d2487b0831f25a6128cef94fb7bf14e2b1f89b28841eb25a5ddc9"),
+    ("primes --limit 1 --format csv", "1a49db94606b06dc08a1d178103d08f3a7384a12f20c07cbcb7b2ed1b65a424e"),
+    ("selftest --seed 0 --sets 5 --format csv", "6ee4814078d7b3b0a752fb18d1d63a0e1a9405a3b6574ddb80ee2a3ba5559e5e"),
+    ("primes --limit 1e5 --format table", "bb868ad75131c9d8dd3a2430a4f14572053c8377f6ef807b7a93ace85efedd60"),
+    ("gaps --limit 1e5 --format table", "998d9f49206864e887c0652c678fa51f422bffd15610c7e7a274f443d47a8974"),
+    ("mertens --x 1e5 --cutoff 1e4 --format table", "41e84666d1bc0d72e24de335a1a640083b8b03ce8dc47ec6f9796f2e0148cd13"),
+    ("constants --cutoff 1e5 --format table", "620b72f15e887fcb3550775b6055104eacb6c6950d449be0687f060ce4604c76"),
+    ("lemma1 --x 1e5 --cutoff 1e5 --format table", "f89d241a5f7d6420520c254c42680eb6db213b34a5ad112bee16fbd60cf577e9"),
+    ("primes --limit 1 --format table", "0ae8bc598f0084fcfed69c3a2fb647eea597a035ce75072c507709eefce77bb8"),
+    ("selftest --seed 0 --sets 5 --format table", "40fc644b58468af5586ab960bcd3e5ceb51b62ce2ed81bf281363205cba94ae4"),
+    ("--help", "2a51281c41275d27e12da316beb947c5cb72a3521981f80669e9564b4351ee79"),
+    ("mertens --help", "f63220a6b15e916cb9435516adf0073d5c9da11f7b08513f5df158abb6bbf0a1"),
+    ("scan --help", "8f4b1e61ed88480eb45a47f61e3551c71c98f328ead2d1a71a09306c01436b9a"),
+]
+
+# argv, exit code, sha256 of stderr; the first fourteen are the argv of
+# test_cli.py::test_argument_errors_exit_2
+ERRORS = [
+    ("criterion --x 20 --y 10", 2, "db1bc774c848732270314279800798bf64dee8501c95c0c56a3b8b8953bd109f"),
+    ("criterion --x 1 --y 10", 2, "45aeaea346597d22644642aa8bdf82e5063a1db56ac6aa47281f065cf0495f93"),
+    ("primes", 2, "4aaae7411944e0b7de7c1cbd1321d60fafbaf0179203bc832f7e532d715ee642"),
+    ("primes --limit -5", 2, "709a512a5c8de8f1c305d51d10bfd0a62f7a357ed8fcf9a90a3c05c88012dcc6"),
+    ("primes --limit 2.5", 2, "1203696459d0f8b3265db1feeb703de5dc61514c2d6652ebd68ba2a6e85f7915"),
+    ("gaps --limit 2", 2, "238464b887e5922b51bb768e85fe110be402708506ef24937af7f36e640689a4"),
+    ("mertens --x 1", 2, "45aeaea346597d22644642aa8bdf82e5063a1db56ac6aa47281f065cf0495f93"),
+    ("theorem1 --x 5", 2, "7e6d658b1d5e09e8ef04c47d64018eafa6d34feec6483ebec2949bd959729b5a"),
+    ("lemma2 --x 100 --c 9", 2, "d699a2add4ad45b58e805c94662baed05d3613de420ec3ef64bfd3676fef7ab7"),
+    ("scan --x-values 100 --jobs 0", 2, "142795f811e2e88cfe1b1dd3afedd0a2b80d2d54b11af6084af676dbcfa26bf3"),
+    ("scan --x-values ''", 2, "5e3e86df87dbd0d9c4bc990b973447e4cb0dc8d0cfc99287a54b95167490e2e0"),
+    ("selftest --sets 0", 2, "ea3ecc237d801a724337df35023dfa4d3452523f0165f9fe05c87b3a1421dbce"),
+    ("no-such-command", 2, "94f23b84d4ae382e6175dd88780a79a476fa1824238a8aa5acec385d752ef664"),
+    ("primes --limit 10 --format yaml", 2, "3af9ec2250ac9ca39c8f5bf63bb20ffd093d0f1bfb02ce61516c60497cd91ec9"),
+    ("criterion --x 10 --y 10", 2, "db1bc774c848732270314279800798bf64dee8501c95c0c56a3b8b8953bd109f"),
+    ("criterion --x 1 --y 0", 2, "45aeaea346597d22644642aa8bdf82e5063a1db56ac6aa47281f065cf0495f93"),
+    ("mertens --x 100 --cutoff 1", 2, "e24dc531c12d9019890fa78cb5cd19602ee0893cf884b61336743e7920e3bb5e"),
+    ("constants --cutoff 2", 2, "a8f3d1c6617759c9094c6b68983cbb390eab62e4e3b65fb25c091d1eca7659fe"),
+    ("lemma1 --x 2", 2, "4ba9e3f9b262759c43fa9c06679ecd0850812d197c0c1ad7a50cd5c7020a3e32"),
+    ("lemma1 --x 100 --cutoff 2", 2, "a8f3d1c6617759c9094c6b68983cbb390eab62e4e3b65fb25c091d1eca7659fe"),
+    ("lemma2 --x 5 --c 9", 2, "7e6d658b1d5e09e8ef04c47d64018eafa6d34feec6483ebec2949bd959729b5a"),
+    ("lemma2 --x 100 --c nan", 2, "d699a2add4ad45b58e805c94662baed05d3613de420ec3ef64bfd3676fef7ab7"),
+    ("theorem1 --x 100 --c 0.01", 2, "d699a2add4ad45b58e805c94662baed05d3613de420ec3ef64bfd3676fef7ab7"),
+    ("theorem1 --x 100 --c 4.5", 2, "d699a2add4ad45b58e805c94662baed05d3613de420ec3ef64bfd3676fef7ab7"),
+    ("scan --x-values 100,5,7", 2, "8d815b055b4b929adc34ded6b5ba080a5c313148eeb3bea8a18edd55ce72026b"),
+    ("scan --x-values 100 --c 9", 2, "d699a2add4ad45b58e805c94662baed05d3613de420ec3ef64bfd3676fef7ab7"),
+    ("scan --x-values 5 --c 9 --jobs 0", 2, "142795f811e2e88cfe1b1dd3afedd0a2b80d2d54b11af6084af676dbcfa26bf3"),
+    ("selftest --seed x", 2, "fa7f616f8d67acf740033f907846f247e6e5efa9b65ea9f1149f0b0113a8d8c5"),
+    ("criterion --x 24 --y 28", 1, "77a557645a124bfcda90f69dbd45b8874e86a51a5f3d81a48bfea7beecd52da7"),
+    ("theorem1 --x 113 --c 0.1", 1, "636335967f16a5df7cb1d3460226ba85aafc6bb890546ba416c53e1453287699"),
+    ("scan --x-values 100,10 --c 0.1 --format csv", 1, "04f124906b4231cbaf05f4aacf1c3753a46caedcf81e3dfb0a978f1991f6f6d0"),
 ]
 
 
+def _run(argv: str) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = cli.run(shlex.split(argv))
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _mask_elapsed(out: str) -> str:
+    """Replace selftest's run-dependent elapsed_s value with '*'."""
+    if out.startswith("seed,"):   # csv: a header row and one value row
+        header, row = out.splitlines()
+        cells = row.split(",")
+        cells[header.split(",").index("elapsed_s")] = "*"
+        return header + "\n" + ",".join(cells) + "\n"
+    return re.sub(r'(elapsed_s"?:?\s+)[^,\n]+', r"\1*", out)
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _stdout_hash(argv: str) -> tuple[int, str, str]:
+    rc, out, err = _run(argv)
+    if argv.startswith("selftest"):
+        out = _mask_elapsed(out)
+    return rc, err, _sha256(out)
+
+
 @pytest.mark.parametrize("argv,sha256", GOLDEN, ids=[a for a, _ in GOLDEN])
-def test_stdout_matches_golden_hash(capsys, argv, sha256):
-    rc = cli.run(argv.split())
-    captured = capsys.readouterr()
-    assert rc == 0 and captured.err == ""
-    assert hashlib.sha256(captured.out.encode()).hexdigest() == sha256
+def test_stdout_matches_golden_hash(monkeypatch, argv, sha256):
+    monkeypatch.setenv("COLUMNS", "80")
+    rc, err, digest = _stdout_hash(argv)
+    assert rc == 0 and err == ""
+    assert digest == sha256
+
+
+@pytest.mark.parametrize("argv,code,sha256", ERRORS, ids=[a for a, _, _ in ERRORS])
+def test_errors_match_golden_hash(monkeypatch, argv, code, sha256):
+    monkeypatch.setenv("COLUMNS", "80")
+    rc, _, err = _run(argv)
+    assert rc == code
+    assert _sha256(err) == sha256
+
+
+if __name__ == "__main__":
+    os.environ["COLUMNS"] = "80"
+    print("GOLDEN = [")
+    for argv, _ in GOLDEN:
+        print(f"    ({argv!r}, {_stdout_hash(argv)[2]!r}),")
+    print("]")
+    print("ERRORS = [")
+    for argv, _, _ in ERRORS:
+        rc, _, err = _run(argv)
+        print(f"    ({argv!r}, {rc}, {_sha256(err)!r}),")
+    print("]")

@@ -47,11 +47,6 @@ def test_beta_for_rejections():
         beta_for(10, 0.1)  # floor(x^beta) == x: nothing to look at
 
 
-def test_beta_for_custom_range():
-    bs = beta_for(100, 5.0, c_range=(0.1, 10.0))
-    assert bs.y > 124
-
-
 # ---------------------------------------------------------------------------
 # theorem1_report
 
