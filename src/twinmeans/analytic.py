@@ -1,14 +1,17 @@
 """Mertens-type sums and products over primes, with tail-bounded constant
 estimates and residual checks against the predicted main terms.
 
-Every reduction is a compensated sum (math.fsum over per-segment partials);
-products are evaluated as sums of log1p terms so near-1 factors lose no
-precision.
+Every reduction is exact: ExactSum returns the correctly rounded sum of all
+its float terms, the same bits as one math.fsum over them, however the terms
+arrive in segments.  The prime sums of a command come from one sieve pass
+(prime_sums), and products are evaluated as sums of log1p terms so near-1
+factors lose no precision.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Optional
@@ -24,6 +27,78 @@ if TYPE_CHECKING:
 
 # Euler-Mascheroni constant, 30 significant digits.
 EULER_GAMMA = 0.577215664901532860606512090082
+
+# ExactSum splits a term v of biased exponent be (binade [2^e, 2^(e+1)),
+# e = max(be, 1) - 1023) into hi = (v + S) - S, v rounded to a multiple of
+# 2^(e-25) by S = 1.5 * 2^(e+27), and the exact rest lo = v - hi.  Either
+# part is a multiple of a quantum fixed per binade (2^(e-25), 2^(e-52)) of
+# at most 2^26 quanta, so one float bucket per binade and part adds up to
+# 2^27 of them without rounding.  Terms from 2^996 up, and inf/nan, skip the
+# buckets: their bucket sums could overflow.
+_BIG_BE = 2047 - 28
+_SPLIT = 1.5 * np.ldexp(1.0, np.maximum(np.arange(_BIG_BE), 1) - 1023 + 27)
+_FOLD_AT = 1 << 26   # terms the buckets take between folds, half the exact limit
+_CHUNK = 1 << 16     # terms split at a time, so the temporaries stay small
+
+
+class ExactSum:
+    """The correctly rounded float64 sum of every term added.
+
+    The result has the bits of math.fsum over all the terms at once, in
+    whatever batches they were added; that makes a segmented reduction
+    independent of the segment size.  Terms are split by binade into exact
+    float buckets (numpy), the buckets are folded into the exact parts list
+    before they could round, and math.fsum rounds the parts once at the end.
+    """
+
+    def __init__(self, terms=(), *, _fold_at: int = _FOLD_AT):
+        self._hi = np.zeros(_BIG_BE)
+        self._lo = np.zeros(_BIG_BE)
+        self._pending = 0              # terms in the buckets since the last fold
+        self._parts: list[float] = []  # folded buckets and big or non-finite terms
+        self._fold_at = int(_fold_at)
+        self.add(terms)
+
+    def add(self, terms) -> None:
+        v = np.asarray(terms, dtype=np.float64).ravel()
+        step = min(self._fold_at, _CHUNK)
+        for i in range(0, v.size, step):
+            self._add(v[i : i + step])
+
+    def _add(self, v: np.ndarray) -> None:
+        be = (v.view(np.int64) >> 52) & 0x7FF
+        top = int(be.max())
+        if top >= _BIG_BE:
+            big = be >= _BIG_BE
+            self._parts += v[big].tolist()
+            v, be = v[~big], be[~big]
+            if v.size == 0:
+                return
+            top = int(be.max())
+        if self._pending + v.size > self._fold_at:
+            self._fold()
+        self._pending += v.size
+        if int(be.min()) == top:   # one binade: plain sums are exact
+            s = _SPLIT[top]
+            hi = (v + s) - s
+            self._hi[top] += hi.sum()
+            self._lo[top] += (v - hi).sum()
+        else:
+            s = _SPLIT[be]
+            hi = (v + s) - s
+            self._hi += np.bincount(be, weights=hi, minlength=_BIG_BE)
+            self._lo += np.bincount(be, weights=v - hi, minlength=_BIG_BE)
+
+    def _fold(self) -> None:
+        for b in (self._hi, self._lo):
+            self._parts += b[b != 0.0].tolist()
+            b[:] = 0.0
+        self._pending = 0
+
+    @property
+    def value(self) -> float:
+        hi, lo = self._hi, self._lo
+        return math.fsum(self._parts + hi[hi != 0.0].tolist() + lo[lo != 0.0].tolist())
 
 
 class ProductMethod(Enum):
@@ -61,28 +136,86 @@ class AsymptoticCheck:
     scale_note: str
 
 
+# prime_sums: name -> (smallest limit, what the limit is called)
+PRIME_SUMS = {
+    "recip": (2, "x"),      # 1/p over p <= limit
+    "M": (2, "cutoff"),     # log1p(-1/p) + 1/p over p <= limit
+    "C": (3, "cutoff"),     # log1p(-2/p) + 2/p over odd p <= limit
+    "twin": (3, "x"),       # log1p(-2/p) over odd p <= limit
+}
+
+
+def _count_upto(seg: np.ndarray, limit: int) -> int:
+    if int(seg[-1]) <= limit:
+        return int(seg.size)
+    return int(np.searchsorted(seg, limit, side="right"))
+
+
+def prime_sums(
+    limits: Mapping[str, int],
+    *,
+    cache: Optional[PrimeSeq] = None,
+    segment_size: Optional[int] = None,
+) -> dict[str, float]:
+    """Exact sums over primes, each up to its own limit, from one pass.
+
+    `limits` maps names of PRIME_SUMS to their limits; the primes are
+    streamed once, to the largest.  All the terms share 1/p, and the C and
+    twin terms share log1p(-2/p).  Each sum is the correctly rounded sum
+    of its float terms, so no segment size or cache changes it.
+    """
+    lim = {name: int(x) for name, x in limits.items()}
+    for name, x in lim.items():
+        if name not in PRIME_SUMS:
+            raise ValueError(f"unknown prime sum {name!r}")
+        least, what = PRIME_SUMS[name]
+        if x < least:
+            raise ValueError(f"need {what} >= {least}")
+    acc = {name: ExactSum() for name in PRIME_SUMS}
+    n = dict.fromkeys(PRIME_SUMS, 0)   # terms of the segment each sum takes
+    for seg in prime_stream(max(lim.values()), cache=cache, segment_size=segment_size):
+        n.update((name, _count_upto(seg, x)) for name, x in lim.items())
+        inv = 1.0 / seg[: max(n.values())]
+        a = inv[: n["M"]]
+        acc["recip"].add(inv[: n["recip"]])
+        acc["M"].add(np.log1p(-a) + a)
+        odd = 1 if seg[0] == 2 else 0   # C and twin skip p = 2
+        if max(n["C"], n["twin"]) > odd:
+            a = 2.0 * inv[odd : max(n["C"], n["twin"])]   # exactly 2.0/p
+            log_a = np.log1p(-a)
+            c = max(n["C"] - odd, 0)
+            acc["C"].add(log_a[:c] + a[:c])
+            acc["twin"].add(log_a[: max(n["twin"] - odd, 0)])
+    return {name: acc[name].value for name in lim}
+
+
+def _m_estimate(s: float, cutoff: int) -> tuple[float, float]:
+    return EULER_GAMMA + s, 1.0 / int(cutoff)
+
+
+def _c_estimate(s: float, cutoff: int) -> tuple[float, float]:
+    return -s, 6.0 / int(cutoff)
+
+
+def _constants(s: Mapping[str, float], cutoff: int) -> ConstantsBundle:
+    m_hat, m_tail = _m_estimate(s["M"], cutoff)
+    c_hat, c_tail = _c_estimate(s["C"], cutoff)
+    return derived_constants(
+        m_hat, c_hat, cutoff=cutoff, tail_radius_M=m_tail, tail_radius_C=c_tail
+    )
+
+
 def mertens_sum(
     x: int,
     *,
     cache: Optional[PrimeSeq] = None,
     segment_size: Optional[int] = None,
 ) -> float:
-    """Compensated sum of 1/p over primes p <= x."""
-    x = int(x)
-    if x < 2:
-        raise ValueError("need x >= 2")
-    parts = (
-        math.fsum(1.0 / seg)
-        for seg in prime_stream(x, cache=cache, segment_size=segment_size)
-    )
-    return math.fsum(parts)
+    """Correctly rounded sum of 1/p over primes p <= x."""
+    return prime_sums({"recip": x}, cache=cache, segment_size=segment_size)["recip"]
 
 
-def mertens_check(
-    x: int, m_const: float, *, cache: Optional[PrimeSeq] = None
-) -> AsymptoticCheck:
-    """Mertens sum against log log x + M; residual scaled by log^2 x."""
-    obs = mertens_sum(x, cache=cache)
+def _mertens_row(x: int, obs: float, m_const: float) -> AsymptoticCheck:
     pred = math.log(math.log(x)) + m_const
     return AsymptoticCheck(
         x=int(x),
@@ -91,6 +224,23 @@ def mertens_check(
         scaled_residual=(obs - pred) * math.log(x) ** 2,
         scale_note="(observed - predicted) * log^2 x; expected bounded",
     )
+
+
+def mertens_check(
+    x: int, m_const: float, *, cache: Optional[PrimeSeq] = None
+) -> AsymptoticCheck:
+    """Mertens sum against log log x + M; residual scaled by log^2 x."""
+    return _mertens_row(x, mertens_sum(x, cache=cache), m_const)
+
+
+def mertens_report(
+    x: int, cutoff: int, *, cache: Optional[PrimeSeq] = None
+) -> tuple[AsymptoticCheck, float]:
+    """mertens_check(x, M) with M = estimate_M(cutoff), and that M, from
+    one pass to max(x, cutoff)."""
+    s = prime_sums({"recip": x, "M": cutoff}, cache=cache)
+    m_hat, _ = _m_estimate(s["M"], cutoff)
+    return _mertens_row(x, s["recip"], m_hat), m_hat
 
 
 def estimate_C(
@@ -105,14 +255,8 @@ def estimate_C(
     so the integral bound 6/cutoff covers the tail.  The estimate increases
     with the cutoff and converges from below.
     """
-    cutoff = int(cutoff)
-    if cutoff < 3:
-        raise ValueError("need cutoff >= 3")
-    parts = []
-    for seg in prime_stream(cutoff, lo=2, cache=cache, segment_size=segment_size):
-        a = 2.0 / seg
-        parts.append(math.fsum(np.log1p(-a) + a))
-    return -math.fsum(parts), 6.0 / cutoff
+    s = prime_sums({"C": cutoff}, cache=cache, segment_size=segment_size)["C"]
+    return _c_estimate(s, cutoff)
 
 
 def estimate_M(
@@ -126,14 +270,8 @@ def estimate_M(
     Returns (estimate, tail_radius); dropped terms are below 1/p^2 each, so
     the tail is bounded by 1/cutoff.
     """
-    cutoff = int(cutoff)
-    if cutoff < 2:
-        raise ValueError("need cutoff >= 2")
-    parts = []
-    for seg in prime_stream(cutoff, cache=cache, segment_size=segment_size):
-        a = 1.0 / seg
-        parts.append(math.fsum(np.log1p(-a) + a))
-    return EULER_GAMMA + math.fsum(parts), 1.0 / cutoff
+    s = prime_sums({"M": cutoff}, cache=cache, segment_size=segment_size)["M"]
+    return _m_estimate(s, cutoff)
 
 
 def derived_constants(
@@ -166,12 +304,9 @@ def compute_constants(
     cache: Optional[PrimeSeq] = None,
     segment_size: Optional[int] = None,
 ) -> ConstantsBundle:
-    """Estimate M and C at one cutoff and derive D', D."""
-    m_hat, m_tail = estimate_M(cutoff, cache=cache, segment_size=segment_size)
-    c_hat, c_tail = estimate_C(cutoff, cache=cache, segment_size=segment_size)
-    return derived_constants(
-        m_hat, c_hat, cutoff=cutoff, tail_radius_M=m_tail, tail_radius_C=c_tail
-    )
+    """Estimate M and C at one cutoff, in one pass, and derive D', D."""
+    s = prime_sums({"M": cutoff, "C": cutoff}, cache=cache, segment_size=segment_size)
+    return _constants(s, cutoff)
 
 
 def twin_product(
@@ -181,21 +316,15 @@ def twin_product(
     segment_size: Optional[int] = None,
 ) -> float:
     """(1/2) * product over odd primes p <= x of (1 - 2/p)."""
-    x = int(x)
-    if x < 3:
-        raise ValueError("need x >= 3")
-    parts = (
-        math.fsum(np.log1p(-2.0 / seg))
-        for seg in prime_stream(x, lo=2, cache=cache, segment_size=segment_size)
-    )
-    return 0.5 * math.exp(math.fsum(parts))
+    s = prime_sums({"twin": x}, cache=cache, segment_size=segment_size)["twin"]
+    return _twin_product(s)
 
 
-def lemma1_check(
-    x: int, consts: ConstantsBundle, *, cache: Optional[PrimeSeq] = None
-) -> AsymptoticCheck:
-    """Twin-factor product against its predicted decay exp(-D)/log^2 x."""
-    obs = twin_product(x, cache=cache)
+def _twin_product(s: float) -> float:
+    return 0.5 * math.exp(s)
+
+
+def _lemma1_row(x: int, obs: float, consts: ConstantsBundle) -> AsymptoticCheck:
     pred = math.exp(-consts.D) / math.log(x) ** 2
     return AsymptoticCheck(
         x=int(x),
@@ -206,15 +335,33 @@ def lemma1_check(
     )
 
 
+def lemma1_check(
+    x: int, consts: ConstantsBundle, *, cache: Optional[PrimeSeq] = None
+) -> AsymptoticCheck:
+    """Twin-factor product against its predicted decay exp(-D)/log^2 x."""
+    return _lemma1_row(x, twin_product(x, cache=cache), consts)
+
+
+def lemma1_report(
+    x: int, cutoff: int, *, cache: Optional[PrimeSeq] = None
+) -> tuple[AsymptoticCheck, ConstantsBundle]:
+    """lemma1_check(x, compute_constants(cutoff)), and those constants, from
+    one pass to max(x, cutoff)."""
+    s = prime_sums({"M": cutoff, "C": cutoff, "twin": x}, cache=cache)
+    consts = _constants(s, cutoff)
+    return _lemma1_row(x, _twin_product(s["twin"]), consts), consts
+
+
 def log_t_product(
     ip: IntervalPrimes, method: ProductMethod = ProductMethod.DIRECT
 ) -> float:
     """log of the consecutive-ratio product T = prod p_n/(p_{n+1}-2) over (x, y].
 
     DIRECT sums -log1p((gap_n - 2)/p_n) pairwise; TELESCOPED uses the exact
-    rearrangement T = ((p_s-2)/(p_e-2)) * prod_{x<p<=y} p/(p-2).  Both are
-    compensated and agree to near machine precision; the dual route is kept
-    deliberately as a cross-check, do not collapse one into the other.
+    rearrangement T = ((p_s-2)/(p_e-2)) * prod_{x<p<=y} p/(p-2).  Both sum
+    their own terms exactly and agree to near machine precision; the dual
+    route is kept deliberately as a cross-check, do not collapse one into
+    the other.
     """
     ps = ip.primes
     if ps.size == 0:
@@ -223,9 +370,9 @@ def log_t_product(
         raise ValueError("ratio products need interval primes above 2")
     if method is ProductMethod.DIRECT:
         nxt = np.append(ps[1:], ip.p_e)
-        return -math.fsum(np.log1p((nxt - 2 - ps) / ps))
+        return -ExactSum(np.log1p((nxt - 2 - ps) / ps)).value
     if method is ProductMethod.TELESCOPED:
-        euler = -math.fsum(np.log1p(-2.0 / ps))
+        euler = -ExactSum(np.log1p(-2.0 / ps)).value
         boundary = -math.log1p((ip.p_e - ip.p_s) / (ip.p_s - 2))
         return boundary + euler
     raise ValueError(f"unknown product method {method!r}")

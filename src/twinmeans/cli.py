@@ -198,6 +198,8 @@ def _int_arg(s: str) -> int:
         return int(s)
     except ValueError:
         v = float(s)   # accepts 1e6 style; argparse turns ValueError into exit 2
+        if math.isinf(v):
+            raise argparse.ArgumentTypeError(f"too large: {s}")
         if v != int(v):
             raise argparse.ArgumentTypeError(f"not an integer: {s}")
         return int(v)
@@ -238,14 +240,17 @@ def _emit(args, payload: dict, csv_fields: Sequence[str] = (), table=()) -> None
 
 
 def _cmd_primes(args) -> int:
-    cache = _cache_for(args, args.limit)
-    arr = (cache if cache is not None else sieve.primes_up_to(args.limit)).primes
+    count, head, tail = 0, [], []
+    for seg in sieve.prime_stream(args.limit, cache=_cache_for(args, args.limit)):
+        count += int(seg.size)
+        head += seg[: 10 - len(head)].tolist()
+        tail = (tail + seg[-10:].tolist())[-10:]
     payload = {
         "limit": args.limit,
-        "count": int(arr.size),
-        "largest": int(arr[-1]) if arr.size else None,
-        "head": [int(p) for p in arr[:10]],
-        "tail": [int(p) for p in arr[-10:]],
+        "count": count,
+        "largest": tail[-1] if tail else None,
+        "head": head,
+        "tail": tail,
     }
     _emit(args, payload)
     return 0
@@ -259,8 +264,7 @@ def _cmd_gaps(args) -> int:
 
 def _cmd_mertens(args) -> int:
     cache = _cache_for(args, max(args.x, args.cutoff))
-    m_hat, _ = analytic.estimate_M(args.cutoff, cache=cache)
-    chk = analytic.mertens_check(args.x, m_hat, cache=cache)
+    chk, m_hat = analytic.mertens_report(args.x, args.cutoff, cache=cache)
     _emit(args, to_payload(chk, m_estimate=m_hat, m_cutoff=args.cutoff))
     return 0
 
@@ -273,8 +277,7 @@ def _cmd_constants(args) -> int:
 
 def _cmd_lemma1(args) -> int:
     cache = _cache_for(args, max(args.x, args.cutoff))
-    consts = analytic.compute_constants(args.cutoff, cache=cache)
-    chk = analytic.lemma1_check(args.x, consts, cache=cache)
+    chk, consts = analytic.lemma1_report(args.x, args.cutoff, cache=cache)
     _emit(args, to_payload(chk, D=consts.D, cutoff=consts.cutoff))
     return 0
 

@@ -4,7 +4,7 @@ A ratio set is its interval primes as an int64 array plus the successor
 prime; the RatioElement objects, exact integer pairs, are made only on
 demand.  Every decision between ratios is exact: a float may narrow the
 candidates, but Python-int cross-multiplication settles them.  The float
-reductions (power means, geometric mean) all go through math.fsum.
+reductions (power means, geometric mean) are exact sums (analytic.ExactSum).
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from typing import Union
 
 import numpy as np
 
+from .analytic import ExactSum
 from .errors import EmptySetError
 from .sieve import IntervalPrimes
 
@@ -258,7 +259,7 @@ def power_mean(values: Values, alpha: float) -> MeanValue:
     Evaluated in the factored form m * ((1/N) sum (v_i/m)^alpha)^(1/alpha)
     with m the max (alpha > 0) or min (alpha < 0), so every scaled term lies
     in (0, 1] and no intermediate can overflow.  The scaled-term sum is
-    compensated, which keeps the result within a few ulps of exact.  A
+    correctly rounded, which keeps the result within a few ulps of exact.  A
     RatioSet's elements view is reduced over the set's arrays, with m its
     cached exact sup or inf.  Use mean_limit for alpha -> 0 and +-inf.
     """
@@ -267,7 +268,7 @@ def power_mean(values: Values, alpha: float) -> MeanValue:
         raise ValueError("alpha must be finite and nonzero; use mean_limit for limits")
     vals, m = _terms(values, alpha > 0, "power mean")
     n = int(vals.size)
-    s = math.fsum(((vals / m) ** alpha).tolist()) / n
+    s = ExactSum((vals / m) ** alpha).value / n
     return MeanValue(alpha=alpha, value=m * s ** (1.0 / alpha), count=n)
 
 
@@ -295,7 +296,7 @@ def mean_limit(values: Values, which: MeanLimit) -> MeanValue:
     if which is MeanLimit.ZERO:
         logs = _log_terms(values)
         n = int(logs.size)
-        return MeanValue(alpha=0.0, value=math.exp(math.fsum(logs.tolist()) / n), count=n)
+        return MeanValue(alpha=0.0, value=math.exp(ExactSum(logs).value / n), count=n)
     top = which is MeanLimit.PLUS_INF
     vals, m = _terms(values, top, "mean limit")
     return MeanValue(alpha=math.inf if top else -math.inf, value=m, count=int(vals.size))

@@ -35,6 +35,17 @@ def test_primes_json(capsys):
     assert doc["tail"][-1] == 97
 
 
+def test_primes_tail_spans_sieve_windows(capsys):
+    # the last sieve window (2097155, 2097200] holds fewer than ten primes
+    limit = 2_097_200
+    rc, out, _ = run_cmd(capsys, "primes", "--limit", str(limit), "--format", "json")
+    assert rc == 0
+    doc = json.loads(out)
+    primes = sieve.primes_up_to(limit).primes
+    assert doc["count"] == primes.size
+    assert doc["tail"] == primes[-10:].tolist() and doc["largest"] == int(primes[-1])
+
+
 def test_primes_accepts_scientific_notation(capsys):
     rc, out, _ = run_cmd(capsys, "primes", "--limit", "1e3", "--format", "json")
     assert rc == 0

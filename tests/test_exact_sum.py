@@ -1,0 +1,168 @@
+"""The exact accumulator: ExactSum gives the bits of one math.fsum over all
+its terms, however they are batched, folded or spread over the exponent
+range, and the prime sums built on it do not depend on the segment size.
+"""
+
+import math
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from twinmeans import analytic, means, sieve
+from twinmeans.analytic import ExactSum
+
+PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+def bits(v: float) -> bytes:
+    return struct.pack("<d", v)
+
+
+# Any sign, binade and mantissa from the subnormals (2^-1074) up to 2^1012;
+# 200 such terms cannot overflow a partial sum, so fsum is defined on them.
+term = st.one_of(
+    st.builds(
+        lambda m, e, s: s * math.ldexp(m, e),
+        st.floats(0.5, 1.0, exclude_max=True),
+        st.integers(-1074, 1012),
+        st.sampled_from([1.0, -1.0]),
+    ),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 1.0, -1.0]),
+)
+
+
+@PROPERTY_SETTINGS
+@given(terms=st.lists(term, max_size=200), cuts=st.lists(st.integers(0, 200)), fold_at=st.integers(1, 9))
+def test_exact_sum_matches_fsum_in_any_batches(terms, cuts, fold_at):
+    want = bits(math.fsum(terms))
+    assert bits(ExactSum(terms).value) == want
+    # with a small fold threshold the buckets fold many times
+    acc = ExactSum(_fold_at=fold_at)
+    edges = sorted({0, len(terms), *(c for c in cuts if c < len(terms))})
+    for a, b in zip(edges, edges[1:]):
+        acc.add(np.array(terms[a:b]))
+    assert bits(acc.value) == want
+
+
+@PROPERTY_SETTINGS
+@given(terms=st.lists(term, min_size=1, max_size=60))
+def test_exact_sum_of_terms_and_their_negations_is_zero(terms):
+    both = terms + [-v for v in terms]
+    assert bits(ExactSum(both).value) == bits(math.fsum(both)) == bits(0.0)
+
+
+def test_exact_sum_one_binade_and_many_binades():
+    rng = np.random.default_rng(5)
+    one = rng.uniform(1.0, 2.0, 10_000)             # one binade: the plain-sum path
+    many = rng.standard_normal(10_000) * 10.0 ** rng.integers(-300, 300, 10_000)
+    for arr in (one, many, np.concatenate((one, many))):
+        assert bits(ExactSum(arr).value) == bits(math.fsum(arr))
+
+
+def test_exact_sum_top_binade_and_non_finite_fall_back_to_fsum():
+    big = np.finfo(np.float64).max
+    cases = [
+        [big, -big, 1.0],
+        [big / 2, 3.0, big / 4, -big / 2, -0.5],
+        [math.inf, 1.0, -2.0],
+        [1.0, -math.inf],
+        [math.nan, 1.0],
+        [math.inf, math.nan],
+    ]
+    for terms in cases:
+        assert bits(ExactSum(terms).value) == bits(math.fsum(terms))
+        acc = ExactSum(_fold_at=2)
+        for v in terms:
+            acc.add([v])
+        assert bits(acc.value) == bits(math.fsum(terms))
+    with pytest.raises(ValueError):
+        ExactSum([math.inf, -math.inf]).value   # as fsum: -inf + inf
+
+
+def test_exact_sum_folds_its_buckets_past_the_threshold():
+    acc = ExactSum(_fold_at=3)
+    acc.add(np.arange(1.0, 11.0))
+    assert acc._parts                       # the buckets were folded
+    assert acc.value == 55.0
+
+
+def test_exact_sum_empty_and_zeros():
+    assert bits(ExactSum().value) == bits(0.0)
+    assert bits(ExactSum([-0.0, -0.0]).value) == bits(math.fsum([-0.0, -0.0]))
+
+
+def test_power_means_are_the_fsum_of_their_terms():
+    rs = means.build_ratio_set(sieve.interval_primes(10**6, 1_010_000))
+    vals, n = rs.values, len(rs.elements)
+    for alpha in (-800.0, -1.0, 0.5, 2.0, 800.0):
+        m = (rs.sup if alpha > 0 else rs.inf).value
+        s = math.fsum(((vals / m) ** alpha).tolist()) / n
+        assert means.power_mean(rs.elements, alpha).value == m * s ** (1.0 / alpha)
+    logs = np.log1p(-rs.k / (rs.primes + rs.k))
+    geo = means.mean_limit(rs.elements, means.MeanLimit.ZERO).value
+    assert geo == math.exp(math.fsum(logs.tolist()) / n)
+
+
+# ---------------------------------------------------------------------------
+# prime sums
+
+
+@pytest.fixture(scope="module")
+def primes_1e6():
+    return sieve.primes_up_to(10**6)
+
+
+def test_prime_sums_equal_fsum_over_all_terms(primes_1e6):
+    p = primes_1e6.primes
+    odd = p[1:]
+    a = 1.0 / p
+    sums = analytic.prime_sums({"recip": 10**6, "M": 10**6, "C": 10**6, "twin": 10**6})
+    assert sums["recip"] == math.fsum(a)
+    assert sums["M"] == math.fsum(np.log1p(-a) + a)
+    assert sums["C"] == math.fsum(np.log1p(-2.0 / odd) + 2.0 / odd)
+    assert sums["twin"] == math.fsum(np.log1p(-2.0 / odd))
+
+
+def test_prime_sums_each_stop_at_their_own_limit():
+    limits = {"recip": 99_991, "M": 1_000, "C": 50_000, "twin": 3}
+    sums = analytic.prime_sums(limits, segment_size=4096)
+    for name, x in limits.items():
+        assert sums[name] == analytic.prime_sums({name: x})[name]
+    assert analytic.twin_product(3) == 0.5 * math.exp(sums["twin"])
+
+
+def test_prime_sums_reject_unknown_names_and_small_limits():
+    with pytest.raises(ValueError, match="unknown"):
+        analytic.prime_sums({"pi": 10})
+    with pytest.raises(ValueError, match="need cutoff >= 3"):
+        analytic.prime_sums({"recip": 100, "C": 2})
+
+
+def test_reports_equal_the_two_step_checks():
+    chk, m_hat = analytic.mertens_report(10**5, 10**3)
+    assert m_hat == analytic.estimate_M(10**3)[0]
+    assert chk == analytic.mertens_check(10**5, m_hat)
+    chk, consts = analytic.lemma1_report(10**3, 10**4)
+    assert consts == analytic.compute_constants(10**4)
+    assert chk == analytic.lemma1_check(10**3, consts)
+
+
+@pytest.mark.parametrize("segment_size", [16, 1 << 12, 1 << 16, 1 << 21, 1 << 23])
+def test_estimates_and_twin_product_do_not_depend_on_segment_size(segment_size):
+    x = 10**6
+    want = (analytic.estimate_M(x), analytic.estimate_C(x), analytic.twin_product(x))
+    got = (
+        analytic.estimate_M(x, segment_size=segment_size),
+        analytic.estimate_C(x, segment_size=segment_size),
+        analytic.twin_product(x, segment_size=segment_size),
+    )
+    assert got == want
+
+
+@pytest.mark.parametrize("segment_size", [64, 1 << 12, 1 << 21])
+def test_cached_prime_sums_do_not_depend_on_segment_size(primes_1e6, segment_size):
+    limits = {"recip": 10**6, "M": 10**5, "C": 10**6, "twin": 3 * 10**5}
+    got = analytic.prime_sums(limits, cache=primes_1e6, segment_size=segment_size)
+    assert got == analytic.prime_sums(limits)

@@ -1,10 +1,11 @@
-"""One sieve pass per interval report, and scan rows that survive a crashed
-worker.
+"""One sieve pass per interval report and per prime-sum command, and scan
+rows that survive a crashed worker.
 
 The sieve-work tests wrap sieve.iter_prime_segments with a counter: every
 sieve in the package (interval_primes, next_prime_after, twin_pairs_in,
 prime_stream) goes through it.  A report over (x, y] may sieve y - x
-integers once, plus the first window of the successor probe past y.
+integers once, plus the first window of the successor probe past y.  A
+prime-sum command sieves (1, max(x, cutoff)] once.
 """
 
 import math
@@ -57,6 +58,24 @@ def test_cli_lemma2_sieves_once(sieved, capsys, x):
     capsys.readouterr()
     bs = verify.beta_for(int(float(x)), 1.0)
     assert_one_pass(sieved, bs.x, bs.y)
+
+
+@pytest.mark.parametrize(
+    "argv,top",
+    [
+        (["primes", "--limit", "30000"], 30_000),
+        (["gaps", "--limit", "30000"], 30_000),
+        (["mertens", "--x", "30000", "--cutoff", "1000"], 30_000),     # cutoff < x
+        (["mertens", "--x", "1000", "--cutoff", "30000"], 30_000),     # cutoff > x
+        (["constants", "--cutoff", "30000"], 30_000),
+        (["lemma1", "--x", "30000", "--cutoff", "1000"], 30_000),
+        (["lemma1", "--x", "1000", "--cutoff", "30000"], 30_000),
+    ],
+)
+def test_prime_sum_commands_sieve_once(sieved, capsys, argv, top):
+    assert cli.run(argv + ["--format", "json"]) == 0
+    capsys.readouterr()
+    assert sieved == [(1, top)]
 
 
 def test_theorem1_twin_pairs_match_twin_scan_sweep():

@@ -296,6 +296,23 @@ def test_cached_primes_serves_prefix_without_rewrite(tmp_path):
     assert small.limit == 500
 
 
+def test_cache_served_as_segment_views(tmp_path):
+    path = str(tmp_path / "p.tpc")
+    sieve.save_cache(sieve.primes_up_to(10_000), path)
+    ps = sieve.load_cache(path)
+    assert ps.primes.dtype == np.int64 and not ps.primes.flags.owndata
+    small = sieve.cached_primes_up_to(5_000, path)
+    assert not small.primes.flags.owndata          # a prefix view, not a copy
+    assert small.primes.tolist() == oracle.primes_upto(5_000)
+    for lo, hi, seg in [(1, 10_000, 16), (100, 9_000, 1000), (7, 8, 16), (1, 10_000, 1 << 21)]:
+        views = list(sieve.prime_stream(hi, lo=lo, cache=ps, segment_size=seg))
+        assert all(v.size and np.shares_memory(v, ps.primes) for v in views)
+        assert all(v[-1] - v[0] < seg for v in views)
+        assert np.concatenate(views or [[]]).tolist() == oracle.primes_upto(hi)[
+            len(oracle.primes_upto(lo)):
+        ]
+
+
 def test_cached_primes_rebuilds_when_too_small(tmp_path):
     path = str(tmp_path / "p.tpc")
     sieve.cached_primes_up_to(100, path)
