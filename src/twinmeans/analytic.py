@@ -352,6 +352,37 @@ def lemma1_report(
     return _lemma1_row(x, _twin_product(s["twin"]), consts), consts
 
 
+class IntervalProduct:
+    """log T over (x, y] by the product routes in `methods`, window by window.
+
+    add(primes, k) takes the primes of one window and their excesses
+    k_n = p_{n+1} - 2 - p_n, the last of which reaches into the next window.
+    DIRECT sums log1p(k/p); TELESCOPED sums log1p(-2/p) and adds the
+    boundary term of p_s, the first prime added, and p_e, the prime past y.
+    Each route has its own ExactSum, so any split into windows gives the
+    bits of one sum over the whole interval.
+    """
+
+    def __init__(self, methods: tuple[ProductMethod, ...]):
+        for m in methods:
+            if not isinstance(m, ProductMethod):
+                raise ValueError(f"unknown product method {m!r}")
+        self._sums = {m: ExactSum() for m in methods}
+        self.p_s: Optional[int] = None
+
+    def add(self, primes: np.ndarray, k: np.ndarray) -> None:
+        if self.p_s is None:
+            self.p_s = int(primes[0])
+        for m, acc in self._sums.items():
+            acc.add(np.log1p(k / primes if m is ProductMethod.DIRECT else -2.0 / primes))
+
+    def log_t(self, method: ProductMethod, p_e: int) -> float:
+        s = -self._sums[method].value
+        if method is ProductMethod.DIRECT:
+            return s
+        return -math.log1p((p_e - self.p_s) / (self.p_s - 2)) + s
+
+
 def log_t_product(
     ip: IntervalPrimes, method: ProductMethod = ProductMethod.DIRECT
 ) -> float:
@@ -361,21 +392,16 @@ def log_t_product(
     rearrangement T = ((p_s-2)/(p_e-2)) * prod_{x<p<=y} p/(p-2).  Both sum
     their own terms exactly and agree to near machine precision; the dual
     route is kept deliberately as a cross-check, do not collapse one into
-    the other.
+    the other.  This is IntervalProduct fed the interval as one window.
     """
     ps = ip.primes
     if ps.size == 0:
         raise EmptySetError(f"no primes in ({ip.x}, {ip.y}]")
     if int(ps[0]) <= 2:
         raise ValueError("ratio products need interval primes above 2")
-    if method is ProductMethod.DIRECT:
-        nxt = np.append(ps[1:], ip.p_e)
-        return -ExactSum(np.log1p((nxt - 2 - ps) / ps)).value
-    if method is ProductMethod.TELESCOPED:
-        euler = -ExactSum(np.log1p(-2.0 / ps)).value
-        boundary = -math.log1p((ip.p_e - ip.p_s) / (ip.p_s - 2))
-        return boundary + euler
-    raise ValueError(f"unknown product method {method!r}")
+    prod = IntervalProduct((method,))
+    prod.add(ps, np.diff(ps, append=ip.p_e) - 2)
+    return prod.log_t(method, ip.p_e)
 
 
 def t_product(
@@ -384,42 +410,24 @@ def t_product(
     method: ProductMethod = ProductMethod.DIRECT,
     *,
     segment_size: Optional[int] = None,
-    ip: Optional[IntervalPrimes] = None,
 ) -> float:
-    """The interval ratio product T(x, y) for primes in (x, y].
-
-    Pass `ip`, the interval_primes of (x, y], to reuse a sieve pass.
-    """
-    if ip is None:
-        ip = sieve.interval_primes(x, y, segment_size=segment_size)
-    elif (ip.x, ip.y) != (int(x), int(y)):
-        raise ValueError(f"ip holds ({ip.x}, {ip.y}], not ({x}, {y}]")
+    """The interval ratio product T(x, y) for primes in (x, y]."""
+    ip = sieve.interval_primes(x, y, segment_size=segment_size)
     return math.exp(log_t_product(ip, method))
 
 
 def lemma2_check(
-    x: int,
-    c: float,
-    *,
-    segment_size: Optional[int] = None,
-    spec: Optional[BetaSpec] = None,
-    ip: Optional[IntervalPrimes] = None,
+    x: int, c: float, *, segment_size: Optional[int] = None
 ) -> AsymptoticCheck:
-    """Interval ratio product against beta^2/x^(beta-1) at y = floor(x^beta).
+    """Interval ratio product against beta^2/x^(beta-1) at y = floor(x^beta)."""
+    from .verify import beta_for  # deferred: verify builds on this module
 
-    A caller that already holds `spec` (verify.beta_for(x, c)) and `ip` (the
-    interval_primes of (x, spec.y]) passes them in, so that neither is
-    computed twice.
-    """
-    if spec is None:
-        from .verify import beta_for  # deferred: verify builds on this module
+    spec = beta_for(x, c)
+    obs = t_product(x, spec.y, ProductMethod.DIRECT, segment_size=segment_size)
+    return _lemma2_row(x, c, spec, obs)
 
-        spec = beta_for(x, c)
-    elif (spec.x, spec.c) != (int(x), float(c)):
-        raise ValueError(f"spec is for x={spec.x}, c={spec.c}, not x={x}, c={c}")
-    obs = t_product(
-        x, spec.y, ProductMethod.DIRECT, segment_size=segment_size, ip=ip
-    )
+
+def _lemma2_row(x: int, c: float, spec: BetaSpec, obs: float) -> AsymptoticCheck:
     # x^(beta-1) = exp(c/log x), computed without the 1 + tiny exponent round trip
     pred = spec.beta**2 / math.exp(c / math.log(x))
     return AsymptoticCheck(
@@ -429,3 +437,17 @@ def lemma2_check(
         scaled_residual=obs / pred - 1.0,
         scale_note="observed/predicted - 1; expected O(1/log^2 x)",
     )
+
+
+def lemma2_report(x: int, c: float) -> tuple[AsymptoticCheck, BetaSpec, float]:
+    """lemma2_check(x, c), its BetaSpec, and the DIRECT product relative to
+    the TELESCOPED one minus 1, from one streamed pass over the interval:
+    its primes are reduced window by window and never held whole."""
+    from .means import reduce_interval   # deferred: means and verify build on this module
+    from .verify import beta_for
+
+    spec = beta_for(x, c)
+    iv = reduce_interval(x, spec.y, tuple(ProductMethod))
+    obs = math.exp(iv.log_t(ProductMethod.DIRECT))
+    tele = math.exp(iv.log_t(ProductMethod.TELESCOPED))
+    return _lemma2_row(x, c, spec, obs), spec, obs / tele - 1.0

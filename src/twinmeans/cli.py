@@ -16,17 +16,17 @@ import math
 import os
 import sys
 from fractions import Fraction
-from itertools import chain
-from typing import Callable, NamedTuple, Optional, Sequence, get_origin, get_type_hints
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, get_type_hints
 
 from . import analytic, selftest, sieve, verify
-from .analytic import ProductMethod
 from .errors import CacheFormatError, CapacityError
 from .sieve import PrimeSeq
+from .verify import TwinPairs
 
 CACHE_ENV_VAR = "TWINMEANS_PRIME_CACHE"
 TABLE_DIGITS = 6
 WIRE_DIGITS = 17
+JSON_PAIRS_PER_PIECE = 4096   # twin pairs rendered and written at a time
 
 SCAN_CSV_FIELDS = [
     "x",
@@ -65,38 +65,39 @@ def _json_scalar(v) -> str:
     raise TypeError(f"unsupported report value {v!r}")
 
 
-_SCALAR_TYPES = {bool, int, float, str, type(None)}
-
-
-def _json_flat(items) -> str:
-    return "[" + ", ".join(map(_json_scalar, items)) + "]"
-
-
 def _render_json(obj, indent: int = 0) -> str:
+    return "".join(_json_pieces(obj, indent))
+
+
+def _json_pieces(obj, indent: int = 0) -> Iterator[str]:
+    """The json text of obj in pieces.  A TwinPairs view is formatted from
+    its array, JSON_PAIRS_PER_PIECE pairs a piece, so no list of its pairs
+    or of their strings is ever built."""
     pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        body = ",\n".join(
-            f"{pad}  {json.dumps(k)}: {_render_json(v, indent + 1)}"
-            for k, v in obj.items()
-        )
-        return "{\n" + body + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        items = list(obj)
-        if not items:
-            return "[]"
-        # fast paths: a list of scalars, and a list of such lists (twin pairs)
-        kinds = set(map(type, items))
-        if kinds <= _SCALAR_TYPES:
-            return _json_flat(items)
-        if kinds <= {list, tuple} and set(map(type, chain.from_iterable(items))) <= _SCALAR_TYPES:
-            return "[" + ", ".join([_json_flat(v) for v in items]) + "]"
-        if any(isinstance(v, dict) for v in items):
-            body = ",\n".join(f"{pad}  {_render_json(v, indent + 1)}" for v in items)
-            return "[\n" + body + "\n" + pad + "]"
-        return "[" + ", ".join(_render_json(v, indent) for v in items) + "]"
-    return _json_scalar(obj)
+    if isinstance(obj, TwinPairs):
+        yield "["
+        for i in range(0, len(obj), JSON_PAIRS_PER_PIECE):
+            lower = obj.lower[i : i + JSON_PAIRS_PER_PIECE].tolist()
+            yield (", " if i else "") + ", ".join(f"[{p}, {p + 2}]" for p in lower)
+        yield "]"
+    elif isinstance(obj, dict):
+        for i, (k, v) in enumerate(obj.items()):
+            yield f"{',' if i else '{'}\n{pad}  {json.dumps(k)}: "
+            yield from _json_pieces(v, indent + 1)
+        yield f"\n{pad}}}" if obj else "{}"
+    else:
+        yield _json_value(obj, indent)
+
+
+def _json_value(obj, indent: int) -> str:
+    """A list or a scalar as json text."""
+    if not isinstance(obj, (list, tuple)):
+        return _json_scalar(obj)
+    if any(isinstance(v, dict) for v in obj):
+        pad = "  " * indent
+        body = ",\n".join(f"{pad}  {_render_json(v, indent + 1)}" for v in obj)
+        return "[\n" + body + "\n" + pad + "]"
+    return "[" + ", ".join(_json_value(v, indent) for v in obj) + "]"
 
 
 def _cell(v, table: bool = False) -> str:
@@ -134,6 +135,8 @@ def _pairs_preview(pairs: Sequence[Sequence[int]], limit: int = 8) -> str:
 # ---------------------------------------------------------------------------
 # report payloads: one dict per result dataclass, and its json inverse
 
+# payload fields printed in json only, a count in their place elsewhere
+_LISTS = (list, TwinPairs)
 # payload keys that differ from the field names
 _KEYS = {"m0": "M0", "m_inf": "M_inf", "criterion_threshold": "threshold"}
 # the count key that stands in for each list field outside json
@@ -160,7 +163,7 @@ def to_payload(report, **extra) -> dict:
         elif isinstance(v, Fraction):
             d[key] = float(v)
             d[key + "_exact"] = str(v)
-        elif isinstance(v, list):
+        elif isinstance(v, _LISTS):
             d[_COUNTS[f.name]] = len(v)
             lists[key] = v
         else:
@@ -178,15 +181,15 @@ def from_payload(cls, d: dict):
             kwargs[f.name] = from_payload(t, d)
         elif t is Fraction:
             kwargs[f.name] = Fraction(d[key + "_exact"])
-        elif get_origin(t) is list:
-            kwargs[f.name] = [tuple(v) if isinstance(v, list) else v for v in d[key]]
+        elif t is TwinPairs:
+            kwargs[f.name] = TwinPairs([p for p, _ in d[key]])
         else:
             kwargs[f.name] = d[key]
     return cls(**kwargs)
 
 
 def _scalars(payload: dict) -> dict:
-    return {k: v for k, v in payload.items() if not isinstance(v, list)}
+    return {k: v for k, v in payload.items() if not isinstance(v, _LISTS)}
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +224,8 @@ def _emit(args, payload: dict, csv_fields: Sequence[str] = (), table=()) -> None
     """Print one report, its lists in json only.  In a table, the (key, text)
     rows of `table` replace the value of that key and go last."""
     if args.format == "json":
-        print(_render_json(payload))
+        sys.stdout.writelines(_json_pieces(payload))
+        sys.stdout.write("\n")
         return
     scalars = _scalars(payload)
     if args.format == "csv":
@@ -283,13 +287,8 @@ def _cmd_lemma1(args) -> int:
 
 
 def _cmd_lemma2(args) -> int:
-    bs = verify.beta_for(args.x, args.c)
-    ip = sieve.interval_primes(args.x, bs.y)   # one sieve pass feeds both routes
-    chk = analytic.lemma2_check(args.x, args.c, spec=bs, ip=ip)
-    tele = analytic.t_product(args.x, bs.y, ProductMethod.TELESCOPED, ip=ip)
-    rel_diff = chk.observed / tele - 1.0
-    payload = to_payload(chk, c=args.c, beta=bs.beta, y=bs.y, telescoped_rel_diff=rel_diff)
-    _emit(args, payload)
+    chk, bs, rel_diff = analytic.lemma2_report(args.x, args.c)
+    _emit(args, to_payload(chk, c=args.c, beta=bs.beta, y=bs.y, telescoped_rel_diff=rel_diff))
     return 0
 
 

@@ -2,9 +2,11 @@
 
 A ratio set is its interval primes as an int64 array plus the successor
 prime; the RatioElement objects, exact integer pairs, are made only on
-demand.  Every decision between ratios is exact: a float may narrow the
-candidates, but Python-int cross-multiplication settles them.  The float
-reductions (power means, geometric mean) are exact sums (analytic.ExactSum).
+demand; reduce_interval takes one sieve window of an interval at a time,
+so that a report's memory does not grow with the interval.  Every decision
+between ratios is exact: a float may narrow the candidates, but Python-int
+cross-multiplication settles them.  The float reductions (power means,
+geometric mean) are exact sums (analytic.ExactSum).
 """
 
 from __future__ import annotations
@@ -15,11 +17,12 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
-from .analytic import ExactSum
+from . import sieve
+from .analytic import ExactSum, IntervalProduct, ProductMethod
 from .errors import EmptySetError
 from .sieve import IntervalPrimes
 
@@ -190,6 +193,67 @@ class MeanValue:
 def build_ratio_set(ip: IntervalPrimes) -> RatioSet:
     """One element p_n/(p_{n+1}-2) per prime in (x, y]; the last uses p_e."""
     return RatioSet(x=ip.x, y=ip.y, primes=ip.primes, p_e=ip.p_e)
+
+
+@dataclass(eq=False)
+class IntervalReduction:
+    """What one streamed pass keeps of the ratio set of an interval (x, y].
+
+    count is the number of interval primes, p_s the first and P the last of
+    them, p_e the prime past y, sup the exact sup of the set, and
+    twin_lower the int64 array of the lower primes p of the twin pairs
+    (p, p+2) with x < p <= y.  log_t(method) is log T by a product route
+    the pass summed.
+    """
+
+    count: int
+    p_s: int
+    P: int
+    p_e: int
+    sup: RatioElement
+    twin_lower: np.ndarray
+    product: IntervalProduct
+
+    def log_t(self, method: ProductMethod) -> float:
+        return self.product.log_t(method, self.p_e)
+
+
+def reduce_interval(
+    x: int,
+    y: int,
+    methods: tuple[ProductMethod, ...] = (),
+    *,
+    segment_size: Optional[int] = None,
+) -> IntervalReduction:
+    """The ratio set of (x, y] reduced one sieve window at a time.
+
+    Each window of sieve.interval_windows is a RatioSet of its own, its last
+    element reaching into the next window.  From each it takes the count,
+    the exact sup (RatioSet.sup), the twin lower primes and the log T terms
+    of `methods`; the overall sup is the exact max of the window sups.  So
+    the pass holds two windows of primes plus the twin lower primes, and
+    gives the same values as the materialised set of interval_primes.
+    """
+    x, y = int(x), int(y)
+    count, sups, twins = 0, [], []
+    product = IntervalProduct(methods)
+    for primes, p_next in sieve.interval_windows(x, y, segment_size=segment_size):
+        rs = RatioSet(x=x, y=y, primes=primes, p_e=p_next)
+        count += int(primes.size)
+        sups.append(rs.sup)
+        twins.append(primes[rs.k == 0])
+        product.add(primes, rs.k)
+    if not count:
+        raise EmptySetError(f"no primes in ({x}, {y}]")
+    return IntervalReduction(
+        count=count,
+        p_s=product.p_s,
+        P=int(primes[-1]),
+        p_e=p_next,
+        sup=max_element(sups),
+        twin_lower=np.concatenate(twins),
+        product=product,
+    )
 
 
 def max_element(elements: Iterable[RatioElement]) -> RatioElement:

@@ -218,20 +218,48 @@ def next_prime_after(n: int) -> int:
         window *= 2
 
 
-def interval_primes(
+def interval_windows(
     x: int, y: int, *, segment_size: Optional[int] = None
-) -> IntervalPrimes:
-    """Primes in (x, y] together with the boundary primes p_s, P, p_e."""
+) -> Iterator[tuple[np.ndarray, int]]:
+    """Yield (primes, p_next) for each sieve window of (x, y] that holds a prime.
+
+    p_next is the prime after primes[-1]: the first prime of the next
+    window, and next_prime_after(y) for the last.  Each window is held back
+    until its successor is known, so at most two windows of primes are
+    alive at once.  An interval without primes yields nothing.
+    """
     x, y = int(x), int(y)
     if not 0 < x < y:
         raise ValueError("need 0 < x < y")
-    chunks = list(iter_prime_segments(x, y, segment_size=segment_size))
-    primes = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-    p_e = next_prime_after(y)
-    if primes.size:
-        p_s, big = int(primes[0]), int(primes[-1])
-        return IntervalPrimes(x=x, y=y, primes=primes, p_s=p_s, P=big, p_e=p_e)
-    return IntervalPrimes(x=x, y=y, primes=primes, p_s=p_e, P=None, p_e=p_e)
+    held = None
+    for seg in iter_prime_segments(x, y, segment_size=segment_size):
+        if held is not None:
+            yield held, int(seg[0])
+        held = seg
+    if held is not None:
+        yield held, next_prime_after(y)
+
+
+def interval_primes(
+    x: int, y: int, *, segment_size: Optional[int] = None
+) -> IntervalPrimes:
+    """Primes in (x, y] together with the boundary primes p_s, P, p_e.
+
+    Mind the memory: the result holds every prime of the interval, and it
+    is built from the windows plus their concatenated copy.  A reduction
+    that needs one pass only can stream interval_windows instead
+    (means.reduce_interval), which holds two windows.
+    """
+    windows = list(interval_windows(x, y, segment_size=segment_size))
+    x, y = int(x), int(y)
+    if not windows:
+        p_e = next_prime_after(y)
+        empty = np.empty(0, dtype=np.int64)
+        return IntervalPrimes(x=x, y=y, primes=empty, p_s=p_e, P=None, p_e=p_e)
+    primes = np.concatenate([w for w, _ in windows])
+    return IntervalPrimes(
+        x=x, y=y, primes=primes, p_s=int(primes[0]), P=int(primes[-1]), p_e=windows[-1][1]
+    )
 
 
 def max_gap_up_to(
@@ -266,22 +294,26 @@ def twin_pairs_in(
 ) -> list[tuple[int, int]]:
     """Twin pairs (p, p+2), both prime, with x < p <= y.
 
-    The cap applies to y; the look-ahead to y + 2 for a co-twin may pass it.
+    A brute-force scan: each prime p is looked up with p + 2 among the
+    primes of (x, y + 2], window by window, with the last prime of a window
+    carried into the next.  The cap applies to y; the look-ahead to y + 2
+    for a co-twin may pass it.
     """
     x, y = int(x), int(y)
     if not 0 < x < y:
         raise ValueError("need 0 < x < y")
     if y > MAX_SIEVE_LIMIT:
         raise CapacityError(f"limit {y} exceeds configured maximum {MAX_SIEVE_LIMIT}")
-    chunks = list(
-        iter_prime_segments(x, y + 2, segment_size=segment_size, max_limit=y + 2)
-    )
-    if not chunks:
-        return []
-    arr = np.concatenate(chunks)
-    idx = np.minimum(np.searchsorted(arr, arr + 2), arr.size - 1)
-    mask = (arr[idx] == arr + 2) & (arr <= y)
-    return [(int(p), int(p) + 2) for p in arr[mask]]
+    lower: list[int] = []
+    carry = np.empty(0, dtype=np.int64)
+    for seg in iter_prime_segments(x, y + 2, segment_size=segment_size, max_limit=y + 2):
+        arr = np.concatenate((carry, seg))
+        # the last prime waits for the next window, where p + 2 would be
+        head = arr[:-1]
+        idx = np.minimum(np.searchsorted(arr, head + 2), arr.size - 1)
+        lower += head[(arr[idx] == head + 2) & (head <= y)].tolist()
+        carry = arr[-1:]
+    return [(p, p + 2) for p in lower]
 
 
 def save_cache(ps: PrimeSeq, path: str) -> None:
@@ -303,8 +335,12 @@ def load_cache(path: str) -> PrimeSeq:
     """Read and validate a TPC1 cache file.
 
     Checks magic, version, payload size against the recorded count, strict
-    monotonicity, and that no entry exceeds the recorded limit.  Any failure
-    raises CacheFormatError so the caller can rebuild.
+    monotonicity, that no entry exceeds the recorded limit, and the content
+    of the first and the last DEFAULT_SEGMENT_SIZE window of (1, limit]: both
+    are sieved again and must equal the stored entries.  A prime missing or
+    added in between is not seen; checking random mid-file windows is still
+    open (ROADMAP, trust boundaries).  Any failure raises CacheFormatError
+    so the caller can rebuild.
     """
     head = len(CACHE_MAGIC) + 1 + _CACHE_HEADER.size
     with open(path, "rb") as fh:
@@ -321,7 +357,16 @@ def load_cache(path: str) -> PrimeSeq:
         raw = np.fromfile(fh, dtype="<u8", count=count)
     if raw.size and (np.any(raw[1:] <= raw[:-1]) or int(raw[-1]) > limit):
         raise CacheFormatError("cache primes not strictly increasing within limit")
-    return PrimeSeq(limit=int(limit), primes=raw.view("<i8"))
+    if limit > MAX_SIEVE_LIMIT:
+        raise CacheFormatError(f"cache limit {limit} exceeds {MAX_SIEVE_LIMIT}")
+    primes = raw.view("<i8")
+    seg = DEFAULT_SEGMENT_SIZE
+    for lo, hi in {(1, min(limit, 1 + seg)), (max(1, limit - seg), limit)}:
+        a, b = np.searchsorted(primes, [lo, hi], side="right")
+        sieved = list(iter_prime_segments(lo, hi, segment_size=seg))
+        if not np.array_equal(primes[a:b], np.concatenate([np.empty(0, np.int64), *sieved])):
+            raise CacheFormatError(f"cache primes in ({lo}, {hi}] differ from a fresh sieve")
+    return PrimeSeq(limit=int(limit), primes=primes)
 
 
 def cached_primes_up_to(

@@ -3,8 +3,11 @@
 The criterion is decided in exact rationals: the sup of a ratio set (exact,
 see means.RatioSet) and the threshold P/(P+2) are compared as Fractions, and
 the resulting decision is required to match a brute-force twin scan of the
-same interval.  An interval report sieves its interval once and takes the
-ratio set, the product and the twin pairs from that one IntervalPrimes.
+same interval.  An interval report sieves its interval once and reduces it
+window by window (means.reduce_interval): count, sup, product and twin
+lower primes come from one pass that never holds more than two sieve
+windows of primes, so its memory does not grow with the interval beyond
+the twin pairs, 8 bytes each.
 """
 
 from __future__ import annotations
@@ -14,11 +17,12 @@ from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from . import analytic, means, sieve
+import numpy as np
+
+from . import means, sieve
 from .analytic import ProductMethod
-from .errors import EmptySetError
 
 # accepted window for the interval-exponent parameter c, and the smallest x
 C_RANGE = (0.1, 4.0)
@@ -36,6 +40,47 @@ class BetaSpec:
     y: int
 
 
+class TwinPairs(Sequence[tuple[int, int]]):
+    """Lazy (p, p+2) view of twin lower primes held as an int64 array.
+
+    A pair is made on access, so a report keeps 8 bytes per pair, not a
+    tuple.  It has len, indexing, slicing (a view again) and iteration, and
+    equals another view or a list of tuples that holds the same pairs.
+    """
+
+    __slots__ = ("lower",)
+
+    def __init__(self, lower):
+        self.lower = np.asarray(lower, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return int(self.lower.size)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return TwinPairs(self.lower[i])
+        p = int(self.lower[i])   # numpy indexing: negative indices, IndexError past the end
+        return (p, p + 2)
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return ((p, p + 2) for p in self.lower.tolist())
+
+    def __eq__(self, other):
+        if isinstance(other, TwinPairs):
+            return np.array_equal(self.lower, other.lower)
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    __hash__ = None
+
+    def __reduce__(self):
+        return TwinPairs, (self.lower,)
+
+    def __repr__(self) -> str:
+        return f"TwinPairs({list(self)!r})"
+
+
 @dataclass(frozen=True)
 class Theorem1Row:
     """Full report for one interval (x, floor(x^beta)].
@@ -50,7 +95,8 @@ class Theorem1Row:
     pi_approx = x^beta/(beta*log x) and the x^beta-normalised residual
     recomputed with it, which also decays.  logz_crosscheck compares
     log m0 against (2*log beta - (beta-1)*log x)/pi; it is reported, never
-    asserted.
+    asserted.  twin_pairs is a TwinPairs view over the twin lower primes, so
+    the row keeps 8 bytes per pair and pickles as that array.
     """
 
     interval: BetaSpec
@@ -63,7 +109,7 @@ class Theorem1Row:
     logz_crosscheck: float
     pi_approx: float
     residual_approx_pi: float
-    twin_pairs: list[tuple[int, int]]
+    twin_pairs: TwinPairs
 
     @property
     def m_inf_value(self) -> float:
@@ -73,7 +119,8 @@ class Theorem1Row:
 
 @dataclass(frozen=True)
 class CriterionReport:
-    """Exact-threshold twin decision for (x, y] next to the brute-force scan."""
+    """Exact-threshold twin decision for (x, y] next to the brute-force scan
+    (sieve.twin_pairs_in), whose pairs are held as a TwinPairs view."""
 
     x: int
     y: int
@@ -81,7 +128,7 @@ class CriterionReport:
     threshold: Fraction
     m_inf: Fraction
     decision: bool
-    brute_force_twins: list[tuple[int, int]]
+    brute_force_twins: TwinPairs
 
 
 def beta_for(x: int, c: float) -> BetaSpec:
@@ -110,12 +157,9 @@ def beta_for(x: int, c: float) -> BetaSpec:
 def theorem1_report(x: int, c: float) -> Theorem1Row:
     """Means, bounds, and twin data for the interval (x, floor(x^beta)]."""
     bs = beta_for(x, c)
-    ip = sieve.interval_primes(x, bs.y)
-    if ip.primes.size == 0:
-        raise EmptySetError(f"no primes in ({x}, {bs.y}]")
-    rs = means.build_ratio_set(ip)
-    n = len(rs.elements)
-    log_t = analytic.log_t_product(ip, ProductMethod.DIRECT)
+    iv = means.reduce_interval(x, bs.y, (ProductMethod.DIRECT,))
+    n = iv.count
+    log_t = iv.log_t(ProductMethod.DIRECT)
     logx = math.log(x)
     # 1 - m0 through expm1 keeps the residual accurate when m0 is near 1
     one_minus_m0 = -math.expm1(log_t / n)
@@ -124,15 +168,15 @@ def theorem1_report(x: int, c: float) -> Theorem1Row:
         interval=bs,
         pi_interval=n,
         m0=math.exp(log_t / n),
-        m_inf=rs.sup.as_fraction(),
+        m_inf=iv.sup.as_fraction(),
         lower_bound=1.0 - c / bs.x_beta,
-        criterion_threshold=Fraction(ip.P, ip.P + 2),
+        criterion_threshold=Fraction(iv.P, iv.P + 2),
         residual=bs.x_beta * one_minus_m0 / c - 1.0,
         logz_crosscheck=(log_t - (2.0 * math.log(bs.beta) - (bs.beta - 1.0) * logx))
         / n,
         pi_approx=pi_approx,
         residual_approx_pi=bs.x_beta * -math.expm1(log_t / pi_approx) / c - 1.0,
-        twin_pairs=rs.twin_pairs(),
+        twin_pairs=TwinPairs(iv.twin_lower),
     )
 
 
@@ -142,19 +186,17 @@ def twin_criterion(x: int, y: int) -> CriterionReport:
     The decision sup > P/(P+2) (strict) must agree with the brute-force
     scan; the two are computed independently and both reported.
     """
-    ip = sieve.interval_primes(x, y)
-    if ip.primes.size == 0:
-        raise EmptySetError(f"no primes in ({x}, {y}]")
-    m_inf = means.build_ratio_set(ip).sup.as_fraction()
-    threshold = Fraction(ip.P, ip.P + 2)
+    iv = means.reduce_interval(x, y)
+    m_inf = iv.sup.as_fraction()
+    threshold = Fraction(iv.P, iv.P + 2)
     return CriterionReport(
         x=int(x),
         y=int(y),
-        P=ip.P,
+        P=iv.P,
         threshold=threshold,
         m_inf=m_inf,
         decision=m_inf > threshold,
-        brute_force_twins=sieve.twin_pairs_in(x, y),
+        brute_force_twins=TwinPairs([p for p, _ in sieve.twin_pairs_in(x, y)]),
     )
 
 

@@ -328,3 +328,40 @@ def test_cached_primes_rebuilds_corrupt_file(tmp_path):
     ps = sieve.cached_primes_up_to(200, path)
     assert ps.primes.tolist() == oracle.primes_upto(200)
     assert sieve.load_cache(path).limit == 200  # file replaced with a valid one
+
+
+def test_cache_with_a_prime_missing_is_rejected_and_rebuilt(tmp_path):
+    path = str(tmp_path / "p.tpc")
+    full = sieve.primes_up_to(100).primes
+    sieve.save_cache(sieve.PrimeSeq(limit=100, primes=np.delete(full, 10)), path)
+    with pytest.raises(CacheFormatError, match="fresh sieve"):
+        sieve.load_cache(path)
+    ps = sieve.cached_primes_up_to(100, path)
+    assert sieve.prime_count(100, cache=ps) == 25
+    assert sieve.load_cache(path).primes.tolist() == oracle.primes_upto(100)
+
+
+@pytest.mark.parametrize("where", ["first", "last"])
+@pytest.mark.parametrize("fault", ["drop", "composite"])
+def test_cache_content_checked_in_first_and_last_window(tmp_path, monkeypatch, where, fault):
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", 1_000)
+    path = str(tmp_path / "p.tpc")
+    primes = sieve.primes_up_to(20_000).primes
+    sieve.save_cache(sieve.PrimeSeq(limit=20_000, primes=primes), path)
+    sieve.load_cache(path)   # the honest file passes
+    i = 20 if where == "first" else primes.size - 20
+    if fault == "drop":
+        bad = np.delete(primes, i)
+    else:   # an odd composite between two primes
+        bad = np.insert(primes, i + 1, primes[i] + 2 if primes[i] % 3 == 1 else primes[i] + 4)
+        assert not oracle.is_prime(int(bad[i + 1])) and bad[i + 1] < bad[i + 2]
+    sieve.save_cache(sieve.PrimeSeq(limit=20_000, primes=bad), path)
+    with pytest.raises(CacheFormatError):
+        sieve.load_cache(path)
+
+
+def test_cache_limit_past_the_cap_is_rejected(tmp_path):
+    path = str(tmp_path / "p.tpc")
+    _write_raw(path, limit=sieve.MAX_SIEVE_LIMIT + 1)
+    with pytest.raises(CacheFormatError, match="exceeds"):
+        sieve.load_cache(path)
