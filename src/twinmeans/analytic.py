@@ -19,7 +19,6 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .errors import EmptySetError
-from . import sieve
 from .sieve import IntervalPrimes, PrimeSeq, prime_stream
 
 if TYPE_CHECKING:
@@ -411,9 +410,11 @@ def t_product(
     *,
     segment_size: Optional[int] = None,
 ) -> float:
-    """The interval ratio product T(x, y) for primes in (x, y]."""
-    ip = sieve.interval_primes(x, y, segment_size=segment_size)
-    return math.exp(log_t_product(ip, method))
+    """The interval ratio product T(x, y) for primes in (x, y], from one
+    pass that reduces the interval window by window (means.reduce_interval)."""
+    from .means import reduce_interval   # deferred: means builds on this module
+
+    return math.exp(reduce_interval(x, y, (method,), segment_size=segment_size).log_t(method))
 
 
 def lemma2_check(

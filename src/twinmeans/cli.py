@@ -72,7 +72,8 @@ def _render_json(obj, indent: int = 0) -> str:
 def _json_pieces(obj, indent: int = 0) -> Iterator[str]:
     """The json text of obj in pieces.  A TwinPairs view is formatted from
     its array, JSON_PAIRS_PER_PIECE pairs a piece, so no list of its pairs
-    or of their strings is ever built."""
+    or of their strings is ever built.  A list holding a dict puts each
+    item on a line of its own."""
     pad = "  " * indent
     if isinstance(obj, TwinPairs):
         yield "["
@@ -85,19 +86,18 @@ def _json_pieces(obj, indent: int = 0) -> Iterator[str]:
             yield f"{',' if i else '{'}\n{pad}  {json.dumps(k)}: "
             yield from _json_pieces(v, indent + 1)
         yield f"\n{pad}}}" if obj else "{}"
+    elif isinstance(obj, (list, tuple)):
+        lines = any(isinstance(v, dict) for v in obj)
+        yield "["
+        for i, v in enumerate(obj):
+            if lines:
+                yield f"{',' if i else ''}\n{pad}  "
+            elif i:
+                yield ", "
+            yield from _json_pieces(v, indent + 1 if lines else indent)
+        yield f"\n{pad}]" if lines else "]"
     else:
-        yield _json_value(obj, indent)
-
-
-def _json_value(obj, indent: int) -> str:
-    """A list or a scalar as json text."""
-    if not isinstance(obj, (list, tuple)):
-        return _json_scalar(obj)
-    if any(isinstance(v, dict) for v in obj):
-        pad = "  " * indent
-        body = ",\n".join(f"{pad}  {_render_json(v, indent + 1)}" for v in obj)
-        return "[\n" + body + "\n" + pad + "]"
-    return "[" + ", ".join(_json_value(v, indent) for v in obj) + "]"
+        yield _json_scalar(obj)
 
 
 def _cell(v, table: bool = False) -> str:

@@ -200,18 +200,18 @@ class IntervalReduction:
     """What one streamed pass keeps of the ratio set of an interval (x, y].
 
     count is the number of interval primes, p_s the first and P the last of
-    them, p_e the prime past y, sup the exact sup of the set, and
-    twin_lower the int64 array of the lower primes p of the twin pairs
-    (p, p+2) with x < p <= y.  log_t(method) is log T by a product route
-    the pass summed.
+    them, and p_e the prime past y.  sup, the exact sup of the set, and
+    twin_lower, the int64 array of the lower primes p of the twin pairs
+    (p, p+2) with x < p <= y, are None unless the pass was asked for them.
+    log_t(method) is log T by a product route the pass summed.
     """
 
     count: int
     p_s: int
     P: int
     p_e: int
-    sup: RatioElement
-    twin_lower: np.ndarray
+    sup: Optional[RatioElement]
+    twin_lower: Optional[np.ndarray]
     product: IntervalProduct
 
     def log_t(self, method: ProductMethod) -> float:
@@ -223,26 +223,31 @@ def reduce_interval(
     y: int,
     methods: tuple[ProductMethod, ...] = (),
     *,
+    sup: bool = False,
+    twins: bool = False,
     segment_size: Optional[int] = None,
 ) -> IntervalReduction:
     """The ratio set of (x, y] reduced one sieve window at a time.
 
     Each window of sieve.interval_windows is a RatioSet of its own, its last
-    element reaching into the next window.  From each it takes the count,
-    the exact sup (RatioSet.sup), the twin lower primes and the log T terms
-    of `methods`; the overall sup is the exact max of the window sups.  So
-    the pass holds two windows of primes plus the twin lower primes, and
-    gives the same values as the materialised set of interval_primes.
+    element reaching into the next window.  From each it takes the count
+    and the log T terms of `methods`, and, when asked, the exact sup
+    (RatioSet.sup) and the twin lower primes; the overall sup is the exact
+    max of the window sups.  So the pass holds two windows of primes plus
+    the twin lower primes, and gives the same values as the materialised
+    set of interval_primes.
     """
     x, y = int(x), int(y)
-    count, sups, twins = 0, [], []
+    count, sups, lower = 0, [], []
     product = IntervalProduct(methods)
     for primes, p_next in sieve.interval_windows(x, y, segment_size=segment_size):
         rs = RatioSet(x=x, y=y, primes=primes, p_e=p_next)
         count += int(primes.size)
-        sups.append(rs.sup)
-        twins.append(primes[rs.k == 0])
         product.add(primes, rs.k)
+        if sup:
+            sups.append(rs.sup)
+        if twins:
+            lower.append(primes[rs.k == 0])
     if not count:
         raise EmptySetError(f"no primes in ({x}, {y}]")
     return IntervalReduction(
@@ -250,8 +255,8 @@ def reduce_interval(
         p_s=product.p_s,
         P=int(primes[-1]),
         p_e=p_next,
-        sup=max_element(sups),
-        twin_lower=np.concatenate(twins),
+        sup=max_element(sups) if sup else None,
+        twin_lower=np.concatenate(lower) if twins else None,
         product=product,
     )
 

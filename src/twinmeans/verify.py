@@ -157,7 +157,7 @@ def beta_for(x: int, c: float) -> BetaSpec:
 def theorem1_report(x: int, c: float) -> Theorem1Row:
     """Means, bounds, and twin data for the interval (x, floor(x^beta)]."""
     bs = beta_for(x, c)
-    iv = means.reduce_interval(x, bs.y, (ProductMethod.DIRECT,))
+    iv = means.reduce_interval(x, bs.y, (ProductMethod.DIRECT,), sup=True, twins=True)
     n = iv.count
     log_t = iv.log_t(ProductMethod.DIRECT)
     logx = math.log(x)
@@ -186,7 +186,7 @@ def twin_criterion(x: int, y: int) -> CriterionReport:
     The decision sup > P/(P+2) (strict) must agree with the brute-force
     scan; the two are computed independently and both reported.
     """
-    iv = means.reduce_interval(x, y)
+    iv = means.reduce_interval(x, y, sup=True)
     m_inf = iv.sup.as_fraction()
     threshold = Fraction(iv.P, iv.P + 2)
     return CriterionReport(

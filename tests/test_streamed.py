@@ -103,7 +103,7 @@ def test_window_boundary_between_twin_primes(segment):
     first, p_next = next(sieve.interval_windows(x, bs.y))
     assert (int(first[-1]), p_next) == (p, p + 2)
     assert len(first) < assert_streamed_row(x, 4.0).pi_interval
-    iv = means.reduce_interval(x, bs.y)
+    iv = means.reduce_interval(x, bs.y, twins=True)
     assert p in iv.twin_lower.tolist()
     assert iv.twin_lower.tolist() == [a for a, _ in sieve.twin_pairs_in(x, bs.y)]
 
@@ -137,8 +137,10 @@ def test_lemma2_streamed_equals_materialised(segment, x, c):
     assert rel_diff == direct / tele - 1.0
     assert chk == analytic.lemma2_check(x, c)
     iv = means.reduce_interval(x, bs.y, tuple(ProductMethod))
+    assert iv.sup is None and iv.twin_lower is None   # not asked for: not collected
     for m in ProductMethod:
         assert iv.log_t(m) == analytic.log_t_product(ip, m)
+        assert analytic.t_product(x, bs.y, m) == math.exp(analytic.log_t_product(ip, m))
 
 
 def test_reduction_equals_materialised_ratio_set(segment):
@@ -152,7 +154,7 @@ def test_reduction_equals_materialised_ratio_set(segment):
             with pytest.raises(EmptySetError):
                 means.reduce_interval(x, y)
             continue
-        iv = means.reduce_interval(x, y)
+        iv = means.reduce_interval(x, y, sup=True, twins=True)
         assert (iv.count, iv.p_s, iv.P, iv.p_e) == (rs.primes.size, rs.primes[0], rs.primes[-1], rs.p_e)
         assert iv.sup.as_fraction() == rs.sup.as_fraction()
         assert [(p, p + 2) for p in iv.twin_lower.tolist()] == rs.twin_pairs()
@@ -165,7 +167,7 @@ def test_reduction_near_the_cap():
     # p*q passes 2^63 here; the sup is exact only with Python-int products
     x, y = 10**10 - 3000, 10**10
     rs = means.build_ratio_set(sieve.interval_primes(x, y))
-    iv = means.reduce_interval(x, y, segment_size=256)
+    iv = means.reduce_interval(x, y, sup=True, twins=True, segment_size=256)
     assert iv.sup == rs.sup and iv.count == rs.primes.size
     assert [(p, p + 2) for p in iv.twin_lower.tolist()] == oracle.twin_pairs(x, y)
 
@@ -174,7 +176,7 @@ def test_reduction_near_the_cap():
 def test_sup_of_a_twinless_interval_from_a_later_window(seg):
     x, y = 9_999_998_611, 9_999_999_016   # between two twin pairs, near the cap
     rs = means.build_ratio_set(sieve.interval_primes(x, y))
-    iv = means.reduce_interval(x, y, segment_size=seg)
+    iv = means.reduce_interval(x, y, sup=True, twins=True, segment_size=seg)
     first, _ = next(sieve.interval_windows(x, y, segment_size=seg))
     assert iv.sup.num > first[-1] and iv.twin_lower.size == 0
     assert (iv.sup.num, iv.sup.den) == (rs.sup.num, rs.sup.den)
@@ -246,3 +248,20 @@ def test_json_twin_pairs_are_written_in_pieces(monkeypatch, capsys):
     assert max(out.sizes) < 8 * 30 < len(whole) // 20
     pairs = json.loads(whole)["twin_pairs"]
     assert [tuple(p) for p in pairs] == sieve.twin_pairs_in(10**6, verify.beta_for(10**6, 1.0).y)
+
+
+def test_json_renders_twin_pairs_and_dicts_at_any_depth():
+    obj = {"rows": [{"pairs": TwinPairs([5, 11]), "n": 2}], "nested": [[TwinPairs([17])], []]}
+    text = cli._render_json(obj)
+    assert text == (
+        '{\n'
+        '  "rows": [\n'
+        '    {\n'
+        '      "pairs": [[5, 7], [11, 13]],\n'
+        '      "n": 2\n'
+        '    }\n'
+        '  ],\n'
+        '  "nested": [[[[17, 19]]], []]\n'
+        '}'
+    )
+    assert json.loads(text)["nested"] == [[[[17, 19]]], []]
