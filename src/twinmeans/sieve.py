@@ -2,11 +2,17 @@
 
 Everything here sieves odd numbers only (2 is special-cased) in fixed-size
 windows, so memory is bounded by the segment size rather than the limit, and
-the output is bit-identical for any segment size.  Results are int64 numpy
-arrays throughout.  A prime itself fits int64 with room to spare, but a
-product of two primes does not: near the MAX_SIEVE_LIMIT = 1e10 cap, p*q
-reaches 1e20 > 2^63.  Code that compares ratios of primes therefore
-cross-multiplies Python ints, never int64 arrays.
+the output is bit-identical for any segment size.  The odd base primes are
+kept between calls in one table, grown to the next power of two past
+sqrt(hi), so a call costs what its windows hold rather than a rebuild of the
+primes up to sqrt(hi).  Each window is marked one of two ways.  If many base
+primes hit it a few times each (a short window), one scatter marks all their
+multiples.  Otherwise each prime marks its multiples with one strided slice.
+
+Results are int64 numpy arrays throughout.  A prime itself fits int64 with
+room to spare, but a product of two primes does not: near the
+MAX_SIEVE_LIMIT = 1e10 cap, p*q reaches 1e20 > 2^63.  Code that compares
+ratios of primes therefore cross-multiplies Python ints, never int64 arrays.
 """
 
 from __future__ import annotations
@@ -23,7 +29,9 @@ from .errors import CacheFormatError, CapacityError
 
 # Integers per window: 1 MiB of odd flags, which stays in cache while the
 # base primes stride through it.  prime_count(1e8) takes 0.23 s at 2^21
-# against 0.38 s at 2^23 (2 cores, numpy 2.4, Python 3.11).
+# against 0.38 s at 2^23 (2 cores, numpy 2.4, Python 3.11).  A window this
+# size is marked by slices: its base primes hit it 200 times or more each
+# on average, where one scatter pays only below 32 (iter_prime_segments).
 DEFAULT_SEGMENT_SIZE = 1 << 21
 MAX_SIEVE_LIMIT = 10**10
 _MIN_SEGMENT_SIZE = 16
@@ -89,6 +97,31 @@ def _segment_size(segment_size: Optional[int]) -> int:
     return seg
 
 
+# The kept base table: (limit, odd primes <= limit, their squares, their
+# halves (p + 1)//2), limit a power of two.  It is replaced whole, in one
+# assignment, so a reader never pairs the primes of one build with the
+# squares of another.  At the cap it holds the 12,250 odd primes < 2^17.
+_base: tuple[int, np.ndarray, np.ndarray, np.ndarray] = (
+    0, *(np.empty(0, dtype=np.int64),) * 3
+)
+
+
+def _base_primes(root: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Odd primes <= root with their squares and halves, as prefix views.
+
+    The table grows to the next power of two past root, at least doubling,
+    so calls up to a given root rebuild it O(log root) times at most.
+    """
+    global _base
+    table = _base
+    if root > table[0]:
+        limit = 1 << root.bit_length()
+        primes = _dense_primes(limit)[1:]
+        table = _base = (limit, primes, primes * primes, (primes + 1) // 2)
+    n = int(np.searchsorted(table[1], root, side="right"))
+    return table[1][:n], table[2][:n], table[3][:n]
+
+
 def iter_prime_segments(
     lo: int,
     hi: int,
@@ -116,24 +149,47 @@ def iter_prime_segments(
         cur += 1
     if cur > hi:
         return
-    base = _dense_primes(math.isqrt(hi))[1:]
-    square = base * base
-    half = (base + 1) // 2         # the inverse of 2 mod p
+    base, square, half = _base_primes(math.isqrt(hi))
     odds_per_seg = max(seg // 2, _MIN_SEGMENT_SIZE // 2)
+    buf = np.empty(min(odds_per_seg, (hi - cur) // 2 + 1), dtype=bool)
     while cur <= hi:
         k = min(odds_per_seg, (hi - cur) // 2 + 1)
         end = cur + 2 * k          # exclusive, odd-aligned
-        flags = np.ones(k, dtype=bool)
+        flags = buf[:k]            # reused: each block is a fresh array
+        flags.fill(True)
         # odd-index j of the first odd multiple of p from max(p*p, cur):
-        # cur + 2j = 0 (mod p) gives j = -cur/2 (mod p)
-        first = np.where(
-            square >= cur, (square - cur) >> 1, (-cur % base) * half % base
-        )
-        hit = first < k
-        for p, j in zip(base[hit].tolist(), first[hit].tolist()):
-            # odd multiples of p sit p apart in odd-index space
-            flags[j::p] = False
-        block = cur + 2 * np.flatnonzero(flags).astype(np.int64)
+        # cur + 2j = 0 (mod p) gives j = -cur/2 (mod p).  The base is sorted,
+        # so the primes with p*p >= cur are a suffix, and those with
+        # p*p >= end miss the window altogether.
+        s, e = square.searchsorted((cur, end)).tolist()
+        p = base[:s]
+        j = (-cur % p) * half[:s] % p
+        hit = j < k
+        p, j = p[hit], j[hit]
+        if e > s:
+            p = np.concatenate((p, base[s:e]))
+            j = np.concatenate((j, (square[s:e] - cur) >> 1))
+        # odd multiples of p sit p apart in odd-index space.  Counted in
+        # slices, a scattered index costs 1/32 and the scatter itself 32
+        # more, so scatter when p.size > hits/32 + 32 (which needs > 32)
+        scatter = p.size > 32
+        if scatter:
+            count = (k - 1 - j) // p + 1
+            scatter = 32 * p.size > int(count.sum()) + 1024
+        if scatter:
+            # one scatter over every index, laid out as runs of step p
+            # that cumsum turns into indices
+            step = np.repeat(p, count)
+            starts = np.cumsum(count) - count
+            step[starts] = j
+            step[starts[1:]] -= j[:-1] + (count[:-1] - 1) * p[:-1]
+            flags[np.cumsum(step)] = False
+        else:
+            for pi, ji in zip(p.tolist(), j.tolist()):
+                flags[ji::pi] = False
+        block = flags.nonzero()[0].astype(np.int64, copy=False)
+        block *= 2
+        block += cur
         if block.size:
             yield block
         cur = end

@@ -13,8 +13,6 @@ the twin pairs, 8 bytes each.
 from __future__ import annotations
 
 import math
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -212,20 +210,32 @@ def _scan_one(task: tuple[int, float]):
         return _failure(x, exc)
 
 
-def _submit(pool: ProcessPoolExecutor, task: tuple[int, float]) -> Future:
-    try:
-        return pool.submit(_scan_one, task)
-    except BrokenProcessPool as exc:   # the pool broke while rows were queued
-        fut: Future = Future()
-        fut.set_exception(exc)
-        return fut
+def _pool_results(tasks: list[tuple[int, float]], jobs: int) -> list:
+    """_scan_one over tasks in a pool of `jobs` worker processes.
 
+    The pool is imported here, not at module level: concurrent.futures pulls
+    in multiprocessing, and only a scan with jobs > 1 needs it.
+    """
+    from concurrent.futures import Future, ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
-def _scan_result(fut: Future, x: int):
-    try:
-        return fut.result()
-    except BrokenProcessPool as exc:   # a worker died: every row it took down fails
-        return _failure(x, exc)
+    def submit(task: tuple[int, float]) -> Future:
+        try:
+            return pool.submit(_scan_one, task)
+        except BrokenProcessPool as exc:   # the pool broke while rows were queued
+            fut: Future = Future()
+            fut.set_exception(exc)
+            return fut
+
+    def result(fut: Future, x: int):
+        try:
+            return fut.result()
+        except BrokenProcessPool as exc:   # a worker died: every row it took down fails
+            return _failure(x, exc)
+
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        futures = [submit(t) for t in tasks]
+        return [result(f, x) for f, (x, _) in zip(futures, tasks)]
 
 
 def theorem1_scan(
@@ -240,9 +250,7 @@ def theorem1_scan(
     if jobs <= 1:
         results: Iterable = map(_scan_one, tasks)
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [_submit(pool, t) for t in tasks]
-            results = [_scan_result(f, x) for f, (x, _) in zip(futures, tasks)]
+        results = _pool_results(tasks, jobs)
     rows: list[Theorem1Row] = []
     failures: list[tuple[int, str]] = []
     for tag, payload in results:

@@ -13,6 +13,7 @@ import multiprocessing
 import os
 import random
 
+import numpy as np
 import pytest
 
 from twinmeans import cli, sieve, verify
@@ -94,6 +95,27 @@ def test_theorem1_twin_pairs_match_twin_scan_sweep():
             assert row.twin_pairs == oracle.twin_pairs(x, y)
         checked += 1
     assert checked > 100
+
+
+def test_short_windows_build_the_base_primes_once(monkeypatch):
+    """The window, its successor probe and the brute-force scan of each
+    twin_criterion call share one kept base table: 200 windows near 1e9
+    build it once, where a build per sieve call would make 600."""
+    monkeypatch.setattr(sieve, "_base", (0,) + (np.empty(0, dtype=np.int64),) * 3)
+    builds = []
+    real = sieve._dense_primes
+
+    def counting(limit):
+        builds.append(limit)
+        return real(limit)
+
+    monkeypatch.setattr(sieve, "_dense_primes", counting)
+    rng = random.Random(8)
+    for _ in range(200):
+        x = rng.randrange(10**9 - 10**7, 10**9 - 600)
+        rep = verify.twin_criterion(x, x + rng.randrange(300, 601))
+        assert rep.decision == bool(rep.brute_force_twins)
+    assert len(builds) <= 1
 
 
 @pytest.mark.skipif(

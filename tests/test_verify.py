@@ -6,7 +6,10 @@ Fraction 1268651/1456875 for x=100, c=1; see _oracles.t_product_exact).
 """
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -169,3 +172,12 @@ def test_scan_collects_failures_and_keeps_going():
     assert sorted(x for x, _ in failures) == [10, 113]
     for _, msg in failures:
         assert ":" in msg  # "ExceptionName: detail"
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    # only theorem1_scan(jobs > 1) needs concurrent.futures (and with it
+    # multiprocessing); a plain command must not pay for importing it
+    code = "import sys, twinmeans.cli; print('concurrent.futures' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"
