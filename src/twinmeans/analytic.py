@@ -29,15 +29,29 @@ EULER_GAMMA = 0.577215664901532860606512090082
 
 # ExactSum splits a term v of biased exponent be (binade [2^e, 2^(e+1)),
 # e = max(be, 1) - 1023) into hi = (v + S) - S, v rounded to a multiple of
-# 2^(e-25) by S = 1.5 * 2^(e+27), and the exact rest lo = v - hi.  Either
-# part is a multiple of a quantum fixed per binade (2^(e-25), 2^(e-52)) of
-# at most 2^26 quanta, so one float bucket per binade and part adds up to
-# 2^27 of them without rounding.  Terms from 2^996 up, and inf/nan, skip the
-# buckets: their bucket sums could overflow.
+# 2^(e-25) by S = _SPLIT[be] = 1.5 * 2^(e+27), and the exact rest lo = v - hi.
+# Either part is a multiple of a quantum fixed per binade (2^(e-25),
+# 2^(e-52)) of at most 2^26 quanta, so one float bucket per binade and part
+# adds up to 2^27 of them without rounding.  Terms from 2^996 up, and
+# inf/nan, skip the buckets: their bucket sums could overflow.
+#
+# A chunk whose nonzero magnitudes span D = top - bot binades takes one
+# split for all its terms, at its top binade: every hi is then a multiple of
+# 2^(e_top-25) of at most 2^26 quanta, as in the bucket _hi[top], and every
+# lo a multiple of 2^(e_bot-52) below 2^(e_top-26), at most 2^(D+26) quanta.
+# A chunk of _CHUNK = 2^16 such lo adds up to at most 2^(D+42) quanta, exact
+# in a float while D + 26 + log2(_CHUNK) <= 53, i.e. D <= 11.  With D = 0
+# that sum fits the bucket _lo[top]; otherwise it is kept as one exact part.
 _BIG_BE = 2047 - 28
 _SPLIT = 1.5 * np.ldexp(1.0, np.maximum(np.arange(_BIG_BE), 1) - 1023 + 27)
 _FOLD_AT = 1 << 26   # terms the buckets take between folds, half the exact limit
 _CHUNK = 1 << 16     # terms split at a time, so the temporaries stay small
+_PARTS_AT = 1 << 8   # exact parts kept before they go back through the buckets
+
+
+def _biased_exponent(a: float) -> int:
+    """be of a positive finite float; 0 for the subnormals."""
+    return max(math.frexp(a)[1] + 1022, 0)
 
 
 class ExactSum:
@@ -45,48 +59,73 @@ class ExactSum:
 
     The result has the bits of math.fsum over all the terms at once, in
     whatever batches they were added; that makes a segmented reduction
-    independent of the segment size.  Terms are split by binade into exact
-    float buckets (numpy), the buckets are folded into the exact parts list
-    before they could round, and math.fsum rounds the parts once at the end.
+    independent of the segment size.  Terms arrive in chunks of at most
+    _CHUNK.  A chunk whose nonzero magnitudes span at most 11 binades
+    (53 - 26 - log2(_CHUNK)) is split once at its top binade, and its hi
+    and lo parts each have an exact plain sum; any other chunk is split by
+    binade into exact float buckets (numpy bincount).  The buckets are
+    folded into the exact parts list before they could round, the parts
+    list goes back through the buckets when it grows past _PARTS_AT, and
+    math.fsum rounds the parts and buckets once at the end.
     """
 
     def __init__(self, terms=(), *, _fold_at: int = _FOLD_AT):
         self._hi = np.zeros(_BIG_BE)
         self._lo = np.zeros(_BIG_BE)
         self._pending = 0              # terms in the buckets since the last fold
-        self._parts: list[float] = []  # folded buckets and big or non-finite terms
+        self._parts: list[float] = []  # exact parts: folded buckets, chunk lo sums,
+                                       # big or non-finite terms
         self._fold_at = int(_fold_at)
         self.add(terms)
 
     def add(self, terms) -> None:
-        v = np.asarray(terms, dtype=np.float64).ravel()
+        self._feed(np.asarray(terms, dtype=np.float64).ravel())
+        if len(self._parts) > _PARTS_AT:
+            parts, self._parts = self._parts, []
+            self._feed(np.array(parts))
+
+    def _feed(self, v: np.ndarray) -> None:
         step = min(self._fold_at, _CHUNK)
         for i in range(0, v.size, step):
             self._add(v[i : i + step])
 
     def _add(self, v: np.ndarray) -> None:
+        a = np.abs(v)
+        most, least = a.max(), a.min()
+        if least == 0.0:
+            least = a.min(where=a != 0.0, initial=math.inf)
+        if math.isfinite(most) and math.isfinite(least):   # least is inf if all are zeros
+            top, bot = _biased_exponent(most), _biased_exponent(least)
+            if top < _BIG_BE and top - bot <= 53 - 26 - int(math.log2(_CHUNK)):
+                self._take(v.size)
+                hi = v + _SPLIT[top]
+                hi -= _SPLIT[top]
+                self._hi[top] += hi.sum()
+                lo = np.subtract(v, hi, out=a).sum()
+                if top == bot:
+                    self._lo[top] += lo
+                elif lo != 0.0:
+                    self._parts.append(float(lo))
+                return
         be = (v.view(np.int64) >> 52) & 0x7FF
-        top = int(be.max())
-        if top >= _BIG_BE:
+        if int(be.max()) >= _BIG_BE:
             big = be >= _BIG_BE
             self._parts += v[big].tolist()
             v, be = v[~big], be[~big]
             if v.size == 0:
                 return
-            top = int(be.max())
-        if self._pending + v.size > self._fold_at:
+        self._take(v.size)
+        s = _SPLIT[be]
+        hi = (v + s) - s
+        self._hi += np.bincount(be, weights=hi, minlength=_BIG_BE)
+        self._lo += np.bincount(be, weights=v - hi, minlength=_BIG_BE)
+
+    def _take(self, n: int) -> None:
+        """Count n more terms into the buckets, folding them first if the
+        count would pass the threshold."""
+        if self._pending + n > self._fold_at:
             self._fold()
-        self._pending += v.size
-        if int(be.min()) == top:   # one binade: plain sums are exact
-            s = _SPLIT[top]
-            hi = (v + s) - s
-            self._hi[top] += hi.sum()
-            self._lo[top] += (v - hi).sum()
-        else:
-            s = _SPLIT[be]
-            hi = (v + s) - s
-            self._hi += np.bincount(be, weights=hi, minlength=_BIG_BE)
-            self._lo += np.bincount(be, weights=v - hi, minlength=_BIG_BE)
+        self._pending += n
 
     def _fold(self) -> None:
         for b in (self._hi, self._lo):

@@ -238,7 +238,7 @@ def reduce_interval(
     set of interval_primes.
     """
     x, y = int(x), int(y)
-    count, sups, lower = 0, [], []
+    count, sups, lower = 0, [], np.empty(0, dtype=np.int64)
     product = IntervalProduct(methods)
     for primes, p_next in sieve.interval_windows(x, y, segment_size=segment_size):
         rs = RatioSet(x=x, y=y, primes=primes, p_e=p_next)
@@ -246,8 +246,10 @@ def reduce_interval(
         product.add(primes, rs.k)
         if sup:
             sups.append(rs.sup)
-        if twins:
-            lower.append(primes[rs.k == 0])
+        if twins:   # grown in place (realloc), so the pairs are never held twice
+            t, n = primes[rs.k == 0], lower.size
+            lower.resize(n + t.size, refcheck=False)
+            lower[n:] = t
     if not count:
         raise EmptySetError(f"no primes in ({x}, {y}]")
     return IntervalReduction(
@@ -256,7 +258,7 @@ def reduce_interval(
         P=int(primes[-1]),
         p_e=p_next,
         sup=max_element(sups) if sup else None,
-        twin_lower=np.concatenate(lower) if twins else None,
+        twin_lower=lower if twins else None,
         product=product,
     )
 

@@ -120,6 +120,28 @@ def test_estimate_C_successive_cutoffs_within_tail():
     assert abs(c2 - c1) < tail1
 
 
+# The series values of M and C to 30 digits, frozen from the mpmath series
+# (the Moebius series for M; Cohen 1998, "High precision computation of
+# Hardy-Littlewood constants", for C).  Compared as exact fractions.
+M_30 = Fraction("0.261497212847642783755426838609")
+C_30 = Fraction("0.660412841474602882352627514524")
+ORACLE_CUTOFFS = (10**4, 10**5, 10**6, 10**7)
+
+
+@pytest.mark.parametrize("cutoff", ORACLE_CUTOFFS)
+def test_estimates_lie_within_their_tail_radii_of_the_30_digit_constants(cutoff):
+    m, tail_m = analytic.estimate_M(cutoff)
+    assert abs(Fraction(m) - M_30) <= tail_m
+    c, tail_c = analytic.estimate_C(cutoff)
+    assert abs(Fraction(c) - C_30) <= tail_c
+
+
+def test_estimate_C_rises_to_the_30_digit_constant():
+    cs = [Fraction(analytic.estimate_C(cutoff)[0]) for cutoff in ORACLE_CUTOFFS]
+    assert all(a < b for a, b in zip(cs, cs[1:]))
+    assert cs[-1] < C_30
+
+
 # ---------------------------------------------------------------------------
 # derived constants
 

@@ -106,6 +106,91 @@ def test_power_means_are_the_fsum_of_their_terms():
 
 
 # ---------------------------------------------------------------------------
+# the narrow-span path: a chunk whose terms span at most 11 binades
+
+
+@st.composite
+def narrow_terms(draw):
+    """Terms whose exponents lie in a window of 0-13 binades below a random
+    top, of both signs, with zeros; windows at the bottom of the range hold
+    subnormals."""
+    top = draw(st.one_of(st.integers(-1074, -1000), st.integers(-1074, 1012)))
+    exps = st.integers(max(top - draw(st.integers(0, 13)), -1074), top)
+    term = st.one_of(
+        st.builds(
+            lambda m, e, s: s * math.ldexp(m, e),
+            st.floats(0.5, 1.0, exclude_max=True),
+            exps,
+            st.sampled_from([1.0, -1.0]),
+        ),
+        st.sampled_from([0.0, -0.0]),
+    )
+    return draw(st.lists(term, max_size=300))
+
+
+@PROPERTY_SETTINGS
+@given(
+    terms=narrow_terms(),
+    cuts=st.lists(st.integers(0, 300)),
+    fold_at=st.one_of(st.integers(1, 16), st.just(1 << 26)),
+)
+def test_narrow_span_terms_match_fsum_in_any_batches(terms, cuts, fold_at):
+    acc = ExactSum(_fold_at=fold_at)
+    edges = sorted({0, len(terms), *(c for c in cuts if c < len(terms))})
+    for a, b in zip(edges, edges[1:]):
+        acc.add(np.array(terms[a:b]))
+    assert bits(acc.value) == bits(math.fsum(terms))
+
+
+def span_chunk(span: int, n_top: int) -> np.ndarray:
+    """2^16 terms spanning exactly `span` binades, each lo part at its
+    largest magnitude with an odd last bit, and a sum that shows every bit
+    of the lo parts.
+
+    2^16 - n_top terms are 1 + L in [1, 2), where L = Q/2 - 2^-52 is the
+    largest lo below half the top quantum Q = 2^(span-25).  n_top negative
+    multiples of Q in the top binade cancel their hi parts and all but the
+    last quantum of their lo parts: the sum is Q/2 - n*2^-52 (n odd) or
+    -n*2^-52 (n even), a float in which a lo sum off by one quantum shows.
+    """
+    n = (1 << 16) - n_top
+    q_units = -(n * (1 << (25 - span)) + n // 2)   # the top terms' sum in units of Q
+    each = [q_units // n_top] * n_top
+    each[-1] += q_units - sum(each)
+    top = [math.ldexp(u, span - 25) for u in each]
+    assert all(2.0**span <= -t < 2.0 ** (span + 1) for t in top)
+    return np.array(top + [1.0 + (2.0 ** (span - 26) - 2.0**-52)] * n)
+
+
+def test_exact_sum_at_span_11_and_12():
+    one, other = span_chunk(11, 21), span_chunk(11, 20)
+    for chunk in (one, other):
+        acc = ExactSum(chunk)
+        assert bits(acc.value) == bits(math.fsum(chunk))
+        assert len(acc._parts) == 1          # one split: its lo sum is one exact part
+    # two lo sums of the same binades together need more than 53 bits
+    acc = ExactSum(one)
+    acc.add(other)
+    assert bits(acc.value) == bits(math.fsum(np.concatenate((one, other))))
+    # at span 12 the lo parts of a chunk need 54 bits: the bucket path
+    chunk = span_chunk(12, 11)
+    acc = ExactSum(chunk)
+    assert bits(acc.value) == bits(math.fsum(chunk))
+    assert acc._parts == []
+
+
+def test_exact_parts_stay_bounded_over_many_small_adds():
+    k = np.arange(100_000)
+    terms = np.column_stack((np.full(k.size, 1.0), 2.0 + k * 2.0**-40))   # 2 binades each
+    acc, most = ExactSum(), 0
+    for row in terms:
+        acc.add(row)
+        most = max(most, len(acc._parts))
+    assert most <= analytic._PARTS_AT
+    assert bits(acc.value) == bits(math.fsum(terms.ravel()))
+
+
+# ---------------------------------------------------------------------------
 # prime sums
 
 
