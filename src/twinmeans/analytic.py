@@ -190,17 +190,15 @@ def _count_upto(seg: np.ndarray, limit: int) -> int:
 
 
 def prime_sums(
-    limits: Mapping[str, int],
-    *,
-    cache: Optional[PrimeSeq] = None,
-    segment_size: Optional[int] = None,
+    limits: Mapping[str, int], *, cache: Optional[PrimeSeq] = None
 ) -> dict[str, float]:
     """Exact sums over primes, each up to its own limit, from one pass.
 
     `limits` maps names of PRIME_SUMS to their limits; the primes are
     streamed once, to the largest.  All the terms share 1/p, and the C and
     twin terms share log1p(-2/p).  Each sum is the correctly rounded sum
-    of its float terms, so no segment size or cache changes it.
+    of its float terms, so neither the sieve window size nor a cache
+    changes it.
     """
     lim = {name: int(x) for name, x in limits.items()}
     for name, x in lim.items():
@@ -211,7 +209,7 @@ def prime_sums(
             raise ValueError(f"need {what} >= {least}")
     acc = {name: ExactSum() for name in PRIME_SUMS}
     n = dict.fromkeys(PRIME_SUMS, 0)   # terms of the segment each sum takes
-    for seg in prime_stream(max(lim.values()), cache=cache, segment_size=segment_size):
+    for seg in prime_stream(max(lim.values()), cache=cache):
         n.update((name, _count_upto(seg, x)) for name, x in lim.items())
         inv = 1.0 / seg[: max(n.values())]
         a = inv[: n["M"]]
@@ -243,14 +241,9 @@ def _constants(s: Mapping[str, float], cutoff: int) -> ConstantsBundle:
     )
 
 
-def mertens_sum(
-    x: int,
-    *,
-    cache: Optional[PrimeSeq] = None,
-    segment_size: Optional[int] = None,
-) -> float:
+def mertens_sum(x: int, *, cache: Optional[PrimeSeq] = None) -> float:
     """Correctly rounded sum of 1/p over primes p <= x."""
-    return prime_sums({"recip": x}, cache=cache, segment_size=segment_size)["recip"]
+    return prime_sums({"recip": x}, cache=cache)["recip"]
 
 
 def _mertens_row(x: int, obs: float, m_const: float) -> AsymptoticCheck:
@@ -282,10 +275,7 @@ def mertens_report(
 
 
 def estimate_C(
-    cutoff: int,
-    *,
-    cache: Optional[PrimeSeq] = None,
-    segment_size: Optional[int] = None,
+    cutoff: int, *, cache: Optional[PrimeSeq] = None
 ) -> tuple[float, float]:
     """Partial sum of -(log(1 - 2/p) + 2/p) over odd primes p <= cutoff.
 
@@ -293,22 +283,19 @@ def estimate_C(
     so the integral bound 6/cutoff covers the tail.  The estimate increases
     with the cutoff and converges from below.
     """
-    s = prime_sums({"C": cutoff}, cache=cache, segment_size=segment_size)["C"]
+    s = prime_sums({"C": cutoff}, cache=cache)["C"]
     return _c_estimate(s, cutoff)
 
 
 def estimate_M(
-    cutoff: int,
-    *,
-    cache: Optional[PrimeSeq] = None,
-    segment_size: Optional[int] = None,
+    cutoff: int, *, cache: Optional[PrimeSeq] = None
 ) -> tuple[float, float]:
     """Meissel-Mertens constant via gamma + sum_{p<=cutoff} (log(1-1/p) + 1/p).
 
     Returns (estimate, tail_radius); dropped terms are below 1/p^2 each, so
     the tail is bounded by 1/cutoff.
     """
-    s = prime_sums({"M": cutoff}, cache=cache, segment_size=segment_size)["M"]
+    s = prime_sums({"M": cutoff}, cache=cache)["M"]
     return _m_estimate(s, cutoff)
 
 
@@ -337,24 +324,16 @@ def derived_constants(
 
 
 def compute_constants(
-    cutoff: int,
-    *,
-    cache: Optional[PrimeSeq] = None,
-    segment_size: Optional[int] = None,
+    cutoff: int, *, cache: Optional[PrimeSeq] = None
 ) -> ConstantsBundle:
     """Estimate M and C at one cutoff, in one pass, and derive D', D."""
-    s = prime_sums({"M": cutoff, "C": cutoff}, cache=cache, segment_size=segment_size)
+    s = prime_sums({"M": cutoff, "C": cutoff}, cache=cache)
     return _constants(s, cutoff)
 
 
-def twin_product(
-    x: int,
-    *,
-    cache: Optional[PrimeSeq] = None,
-    segment_size: Optional[int] = None,
-) -> float:
+def twin_product(x: int, *, cache: Optional[PrimeSeq] = None) -> float:
     """(1/2) * product over odd primes p <= x of (1 - 2/p)."""
-    s = prime_sums({"twin": x}, cache=cache, segment_size=segment_size)["twin"]
+    s = prime_sums({"twin": x}, cache=cache)["twin"]
     return _twin_product(s)
 
 
@@ -443,27 +422,21 @@ def log_t_product(
 
 
 def t_product(
-    x: int,
-    y: int,
-    method: ProductMethod = ProductMethod.DIRECT,
-    *,
-    segment_size: Optional[int] = None,
+    x: int, y: int, method: ProductMethod = ProductMethod.DIRECT
 ) -> float:
     """The interval ratio product T(x, y) for primes in (x, y], from one
     pass that reduces the interval window by window (means.reduce_interval)."""
     from .means import reduce_interval   # deferred: means builds on this module
 
-    return math.exp(reduce_interval(x, y, (method,), segment_size=segment_size).log_t(method))
+    return math.exp(reduce_interval(x, y, (method,)).log_t(method))
 
 
-def lemma2_check(
-    x: int, c: float, *, segment_size: Optional[int] = None
-) -> AsymptoticCheck:
+def lemma2_check(x: int, c: float) -> AsymptoticCheck:
     """Interval ratio product against beta^2/x^(beta-1) at y = floor(x^beta)."""
     from .verify import beta_for  # deferred: verify builds on this module
 
     spec = beta_for(x, c)
-    obs = t_product(x, spec.y, ProductMethod.DIRECT, segment_size=segment_size)
+    obs = t_product(x, spec.y, ProductMethod.DIRECT)
     return _lemma2_row(x, c, spec, obs)
 
 

@@ -16,7 +16,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, total_ordering
 from typing import Optional, Union
 
 import numpy as np
@@ -33,6 +33,7 @@ class MeanLimit(Enum):
     MINUS_INF = "minus_inf"
 
 
+@total_ordering
 @dataclass(slots=True, eq=False)
 class RatioElement:
     """Exact ratio p/(q-2) for consecutive primes p < q, as an integer pair.
@@ -67,21 +68,6 @@ class RatioElement:
         if not isinstance(other, RatioElement):
             return NotImplemented
         return self.num * other.den < other.num * self.den
-
-    def __le__(self, other):
-        if not isinstance(other, RatioElement):
-            return NotImplemented
-        return self.num * other.den <= other.num * self.den
-
-    def __gt__(self, other):
-        if not isinstance(other, RatioElement):
-            return NotImplemented
-        return self.num * other.den > other.num * self.den
-
-    def __ge__(self, other):
-        if not isinstance(other, RatioElement):
-            return NotImplemented
-        return self.num * other.den >= other.num * self.den
 
     __hash__ = None  # mutable dataclass with value equality; keep it unhashable
 
@@ -225,7 +211,6 @@ def reduce_interval(
     *,
     sup: bool = False,
     twins: bool = False,
-    segment_size: Optional[int] = None,
 ) -> IntervalReduction:
     """The ratio set of (x, y] reduced one sieve window at a time.
 
@@ -240,7 +225,7 @@ def reduce_interval(
     x, y = int(x), int(y)
     count, sups, lower = 0, [], np.empty(0, dtype=np.int64)
     product = IntervalProduct(methods)
-    for primes, p_next in sieve.interval_windows(x, y, segment_size=segment_size):
+    for primes, p_next in sieve.interval_windows(x, y):
         rs = RatioSet(x=x, y=y, primes=primes, p_e=p_next)
         count += int(primes.size)
         product.add(primes, rs.k)

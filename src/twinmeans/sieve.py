@@ -1,12 +1,14 @@
 """Segmented prime generation and interval prime queries.
 
-Everything here sieves odd numbers only (2 is special-cased) in fixed-size
-windows, so memory is bounded by the segment size rather than the limit, and
-the output is bit-identical for any segment size.  The odd base primes are
-kept between calls in one table, grown to the next power of two past
-sqrt(hi), so a call costs what its windows hold rather than a rebuild of the
-primes up to sqrt(hi).  Each window is marked one of two ways.  If many base
-primes hit it a few times each (a short window), one scatter marks all their
+Everything here sieves odd numbers only (2 is special-cased) in windows of
+DEFAULT_SEGMENT_SIZE integers, so memory is bounded by the window rather
+than the limit.  The window size is a tuning constant, not an option: the
+output is bit-identical for any size, and the size is read at call time, so
+the tests patch it to show that.  The odd base primes are kept between
+calls in one table, grown to the next power of two past sqrt(hi), so a call
+costs what its windows hold rather than a rebuild of the primes up to
+sqrt(hi).  Each window is marked one of two ways.  If many base primes hit
+it a few times each (a short window), one scatter marks all their
 multiples.  Otherwise each prime marks its multiples with one strided slice.
 
 Results are int64 numpy arrays throughout.  A prime itself fits int64 with
@@ -32,9 +34,10 @@ from .errors import CacheFormatError, CapacityError
 # against 0.38 s at 2^23 (2 cores, numpy 2.4, Python 3.11).  A window this
 # size is marked by slices: its base primes hit it 200 times or more each
 # on average, where one scatter pays only below 32 (iter_prime_segments).
+# Read at call time, never bound at import or as a default argument, so
+# that patching it (to any size >= 2) reaches the kernel and the cache views.
 DEFAULT_SEGMENT_SIZE = 1 << 21
 MAX_SIEVE_LIMIT = 10**10
-_MIN_SEGMENT_SIZE = 16
 
 CACHE_MAGIC = b"TPC1"
 CACHE_VERSION = 1
@@ -90,13 +93,6 @@ def _dense_primes(limit: int) -> np.ndarray:
     return np.flatnonzero(flags).astype(np.int64)
 
 
-def _segment_size(segment_size: Optional[int]) -> int:
-    seg = DEFAULT_SEGMENT_SIZE if segment_size is None else int(segment_size)
-    if seg < _MIN_SEGMENT_SIZE:
-        raise ValueError(f"segment_size must be >= {_MIN_SEGMENT_SIZE}")
-    return seg
-
-
 # The kept base table: (limit, odd primes <= limit, their squares, their
 # halves (p + 1)//2), limit a power of two.  It is replaced whole, in one
 # assignment, so a reader never pairs the primes of one build with the
@@ -123,19 +119,15 @@ def _base_primes(root: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def iter_prime_segments(
-    lo: int,
-    hi: int,
-    *,
-    segment_size: Optional[int] = None,
-    max_limit: Optional[int] = None,
+    lo: int, hi: int, *, max_limit: Optional[int] = None
 ) -> Iterator[np.ndarray]:
     """Yield the primes p with lo < p <= hi as increasing int64 arrays.
 
-    Segment boundaries never change the concatenated output, only how much
-    memory a window takes.  Raises CapacityError when hi exceeds the cap
-    (MAX_SIEVE_LIMIT unless overridden).
+    The arrays are the primes of consecutive windows of DEFAULT_SEGMENT_SIZE
+    integers; a window without a prime yields nothing.  Window boundaries never change the concatenated output, only
+    how much memory a window takes.  Raises CapacityError when hi exceeds
+    the cap (MAX_SIEVE_LIMIT unless overridden).
     """
-    seg = _segment_size(segment_size)
     cap = MAX_SIEVE_LIMIT if max_limit is None else int(max_limit)
     lo, hi = int(lo), int(hi)
     if hi > cap:
@@ -150,7 +142,7 @@ def iter_prime_segments(
     if cur > hi:
         return
     base, square, half = _base_primes(math.isqrt(hi))
-    odds_per_seg = max(seg // 2, _MIN_SEGMENT_SIZE // 2)
+    odds_per_seg = DEFAULT_SEGMENT_SIZE // 2
     buf = np.empty(min(odds_per_seg, (hi - cur) // 2 + 1), dtype=bool)
     while cur <= hi:
         k = min(odds_per_seg, (hi - cur) // 2 + 1)
@@ -196,21 +188,16 @@ def iter_prime_segments(
 
 
 def prime_stream(
-    hi: int,
-    *,
-    lo: int = 1,
-    cache: Optional[PrimeSeq] = None,
-    segment_size: Optional[int] = None,
-    max_limit: Optional[int] = None,
+    hi: int, *, lo: int = 1, cache: Optional[PrimeSeq] = None
 ) -> Iterator[np.ndarray]:
     """Primes in (lo, hi], served from `cache` when it covers the range.
 
-    A cache is served as views of the windows (lo, lo + segment_size],
-    (lo + segment_size, lo + 2*segment_size], ..., so what a consumer builds
-    per segment stays segment-sized either way.
+    A cache is served as views of the windows (lo, lo + S], (lo + S,
+    lo + 2*S], ... with S = DEFAULT_SEGMENT_SIZE, so what a consumer builds
+    per window stays window-sized either way.
     """
     if cache is not None and cache.limit >= hi:
-        seg = _segment_size(segment_size)
+        seg = DEFAULT_SEGMENT_SIZE
         arr = cache.primes
         a = int(np.searchsorted(arr, lo, side="right"))
         for end in range(lo + seg, hi + seg, seg):
@@ -219,17 +206,10 @@ def prime_stream(
                 yield arr[a:b]
             a = b
         return
-    yield from iter_prime_segments(
-        lo, hi, segment_size=segment_size, max_limit=max_limit
-    )
+    yield from iter_prime_segments(lo, hi)
 
 
-def primes_up_to(
-    limit: int,
-    *,
-    segment_size: Optional[int] = None,
-    max_limit: Optional[int] = None,
-) -> PrimeSeq:
+def primes_up_to(limit: int) -> PrimeSeq:
     """Materialize all primes <= limit.
 
     Mind the memory: the result holds pi(limit) int64 values even though the
@@ -238,27 +218,17 @@ def primes_up_to(
     limit = int(limit)
     if limit < 0:
         raise ValueError("limit must be >= 0")
-    chunks = list(
-        iter_prime_segments(1, limit, segment_size=segment_size, max_limit=max_limit)
-    )
+    chunks = list(iter_prime_segments(1, limit))
     primes = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
     return PrimeSeq(limit=limit, primes=primes)
 
 
-def prime_count(
-    x: int,
-    *,
-    cache: Optional[PrimeSeq] = None,
-    segment_size: Optional[int] = None,
-) -> int:
+def prime_count(x: int, *, cache: Optional[PrimeSeq] = None) -> int:
     """Exact number of primes <= x, counted without materializing them."""
     x = int(x)
     if x < 0:
         raise ValueError("x must be >= 0")
-    return sum(
-        int(seg.size)
-        for seg in prime_stream(x, cache=cache, segment_size=segment_size)
-    )
+    return sum(int(seg.size) for seg in prime_stream(x, cache=cache))
 
 
 def next_prime_after(n: int) -> int:
@@ -274,9 +244,7 @@ def next_prime_after(n: int) -> int:
         window *= 2
 
 
-def interval_windows(
-    x: int, y: int, *, segment_size: Optional[int] = None
-) -> Iterator[tuple[np.ndarray, int]]:
+def interval_windows(x: int, y: int) -> Iterator[tuple[np.ndarray, int]]:
     """Yield (primes, p_next) for each sieve window of (x, y] that holds a prime.
 
     p_next is the prime after primes[-1]: the first prime of the next
@@ -288,7 +256,7 @@ def interval_windows(
     if not 0 < x < y:
         raise ValueError("need 0 < x < y")
     held = None
-    for seg in iter_prime_segments(x, y, segment_size=segment_size):
+    for seg in iter_prime_segments(x, y):
         if held is not None:
             yield held, int(seg[0])
         held = seg
@@ -296,9 +264,7 @@ def interval_windows(
         yield held, next_prime_after(y)
 
 
-def interval_primes(
-    x: int, y: int, *, segment_size: Optional[int] = None
-) -> IntervalPrimes:
+def interval_primes(x: int, y: int) -> IntervalPrimes:
     """Primes in (x, y] together with the boundary primes p_s, P, p_e.
 
     Mind the memory: the result holds every prime of the interval, and it
@@ -306,7 +272,7 @@ def interval_primes(
     that needs one pass only can stream interval_windows instead
     (means.reduce_interval), which holds two windows.
     """
-    windows = list(interval_windows(x, y, segment_size=segment_size))
+    windows = list(interval_windows(x, y))
     x, y = int(x), int(y)
     if not windows:
         p_e = next_prime_after(y)
@@ -318,12 +284,7 @@ def interval_primes(
     )
 
 
-def max_gap_up_to(
-    limit: int,
-    *,
-    cache: Optional[PrimeSeq] = None,
-    segment_size: Optional[int] = None,
-) -> GapRecord:
+def max_gap_up_to(limit: int, *, cache: Optional[PrimeSeq] = None) -> GapRecord:
     """Largest consecutive-prime gap with both primes <= limit."""
     limit = int(limit)
     if limit < 3:
@@ -331,7 +292,7 @@ def max_gap_up_to(
     best_gap = 0
     best_lower = 0
     prev = None
-    for seg in prime_stream(limit, cache=cache, segment_size=segment_size):
+    for seg in prime_stream(limit, cache=cache):
         if prev is not None:
             boundary = int(seg[0]) - prev
             if boundary > best_gap:
@@ -345,9 +306,7 @@ def max_gap_up_to(
     return GapRecord(limit=limit, gap=best_gap, lower_prime=best_lower)
 
 
-def twin_pairs_in(
-    x: int, y: int, *, segment_size: Optional[int] = None
-) -> list[tuple[int, int]]:
+def twin_pairs_in(x: int, y: int) -> list[tuple[int, int]]:
     """Twin pairs (p, p+2), both prime, with x < p <= y.
 
     A brute-force scan: each prime p is looked up with p + 2 among the
@@ -362,7 +321,7 @@ def twin_pairs_in(
         raise CapacityError(f"limit {y} exceeds configured maximum {MAX_SIEVE_LIMIT}")
     lower: list[int] = []
     carry = np.empty(0, dtype=np.int64)
-    for seg in iter_prime_segments(x, y + 2, segment_size=segment_size, max_limit=y + 2):
+    for seg in iter_prime_segments(x, y + 2, max_limit=y + 2):
         arr = np.concatenate((carry, seg))
         # the last prime waits for the next window, where p + 2 would be
         head = arr[:-1]
@@ -419,15 +378,13 @@ def load_cache(path: str) -> PrimeSeq:
     seg = DEFAULT_SEGMENT_SIZE
     for lo, hi in {(1, min(limit, 1 + seg)), (max(1, limit - seg), limit)}:
         a, b = np.searchsorted(primes, [lo, hi], side="right")
-        sieved = list(iter_prime_segments(lo, hi, segment_size=seg))
+        sieved = list(iter_prime_segments(lo, hi))
         if not np.array_equal(primes[a:b], np.concatenate([np.empty(0, np.int64), *sieved])):
             raise CacheFormatError(f"cache primes in ({lo}, {hi}] differ from a fresh sieve")
     return PrimeSeq(limit=int(limit), primes=primes)
 
 
-def cached_primes_up_to(
-    limit: int, path: str, *, segment_size: Optional[int] = None
-) -> PrimeSeq:
+def cached_primes_up_to(limit: int, path: str) -> PrimeSeq:
     """Primes up to `limit` backed by a cache file.
 
     A valid cache with a limit at least as large serves a prefix view; anything
@@ -441,6 +398,6 @@ def cached_primes_up_to(
     if ps is not None and ps.limit >= limit:
         cut = int(np.searchsorted(ps.primes, limit, side="right"))
         return PrimeSeq(limit=limit, primes=ps.primes[:cut])
-    fresh = primes_up_to(limit, segment_size=segment_size)
+    fresh = primes_up_to(limit)
     save_cache(fresh, path)
     return fresh

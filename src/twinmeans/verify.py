@@ -211,7 +211,8 @@ def _scan_one(task: tuple[int, float]):
 
 
 def _pool_results(tasks: list[tuple[int, float]], jobs: int) -> list:
-    """_scan_one over tasks in a pool of `jobs` worker processes.
+    """_scan_one over tasks in a pool of `jobs` worker processes, or one
+    per task if there are fewer tasks.
 
     The pool is imported here, not at module level: concurrent.futures pulls
     in multiprocessing, and only a scan with jobs > 1 needs it.
@@ -233,7 +234,8 @@ def _pool_results(tasks: list[tuple[int, float]], jobs: int) -> list:
         except BrokenProcessPool as exc:   # a worker died: every row it took down fails
             return _failure(x, exc)
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # a fork pool starts all max_workers processes at the first submit
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         futures = [submit(t) for t in tasks]
         return [result(f, x) for f, (x, _) in zip(futures, tasks)]
 
@@ -247,7 +249,7 @@ def theorem1_scan(
     the rows it had not finished into failures instead of ending the scan.
     """
     tasks = [(int(x), float(c)) for x in x_values]
-    if jobs <= 1:
+    if jobs <= 1 or not tasks:
         results: Iterable = map(_scan_one, tasks)
     else:
         results = _pool_results(tasks, jobs)

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from twinmeans import analytic
+from twinmeans import analytic, sieve
 from twinmeans.analytic import EULER_GAMMA, ProductMethod
 
 import _oracles as oracle
@@ -47,9 +47,10 @@ def test_mertens_sum_rejects_small_x():
         analytic.mertens_sum(1)
 
 
-def test_mertens_sum_segment_independent():
+def test_mertens_sum_segment_independent(monkeypatch):
     a = analytic.mertens_sum(10_000)
-    b = analytic.mertens_sum(10_000, segment_size=16)
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", 16)
+    b = analytic.mertens_sum(10_000)
     assert a == b
 
 

@@ -210,12 +210,14 @@ def test_prime_sums_equal_fsum_over_all_terms(primes_1e6):
     assert sums["twin"] == math.fsum(np.log1p(-2.0 / odd))
 
 
-def test_prime_sums_each_stop_at_their_own_limit():
+def test_prime_sums_each_stop_at_their_own_limit(monkeypatch):
     limits = {"recip": 99_991, "M": 1_000, "C": 50_000, "twin": 3}
-    sums = analytic.prime_sums(limits, segment_size=4096)
-    for name, x in limits.items():
-        assert sums[name] == analytic.prime_sums({name: x})[name]
-    assert analytic.twin_product(3) == 0.5 * math.exp(sums["twin"])
+    want = {name: analytic.prime_sums({name: x})[name] for name, x in limits.items()}
+    twin = analytic.twin_product(3)
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", 4096)
+    sums = analytic.prime_sums(limits)
+    assert sums == want
+    assert twin == 0.5 * math.exp(sums["twin"])
 
 
 def test_prime_sums_reject_unknown_names_and_small_limits():
@@ -235,19 +237,17 @@ def test_reports_equal_the_two_step_checks():
 
 
 @pytest.mark.parametrize("segment_size", [16, 1 << 12, 1 << 16, 1 << 21, 1 << 23])
-def test_estimates_and_twin_product_do_not_depend_on_segment_size(segment_size):
+def test_estimates_and_twin_product_do_not_depend_on_segment_size(monkeypatch, segment_size):
     x = 10**6
     want = (analytic.estimate_M(x), analytic.estimate_C(x), analytic.twin_product(x))
-    got = (
-        analytic.estimate_M(x, segment_size=segment_size),
-        analytic.estimate_C(x, segment_size=segment_size),
-        analytic.twin_product(x, segment_size=segment_size),
-    )
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", segment_size)
+    got = (analytic.estimate_M(x), analytic.estimate_C(x), analytic.twin_product(x))
     assert got == want
 
 
 @pytest.mark.parametrize("segment_size", [64, 1 << 12, 1 << 21])
-def test_cached_prime_sums_do_not_depend_on_segment_size(primes_1e6, segment_size):
+def test_cached_prime_sums_do_not_depend_on_segment_size(primes_1e6, monkeypatch, segment_size):
     limits = {"recip": 10**6, "M": 10**5, "C": 10**6, "twin": 3 * 10**5}
-    got = analytic.prime_sums(limits, cache=primes_1e6, segment_size=segment_size)
-    assert got == analytic.prime_sums(limits)
+    want = analytic.prime_sums(limits)
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", segment_size)
+    assert analytic.prime_sums(limits, cache=primes_1e6) == want

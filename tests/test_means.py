@@ -55,6 +55,19 @@ def test_ratio_element_comparison_matches_fractions():
         assert (a < b) == (a.as_fraction() < b.as_fraction())
         assert (a == b) == (a.as_fraction() == b.as_fraction())
         assert (a <= b) == (a.as_fraction() <= b.as_fraction())
+        assert (a > b) == (a.as_fraction() > b.as_fraction())
+        assert (a >= b) == (a.as_fraction() >= b.as_fraction())
+
+
+def test_ratio_element_compares_only_with_ratio_elements():
+    r = RatioElement(3, 5)
+    assert r != 0.6 and not (r == 0.6)
+    for op in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__"):
+        assert getattr(r, op)(0.6) is NotImplemented
+    with pytest.raises(TypeError):
+        r < 0.6
+    with pytest.raises(TypeError):
+        r >= Fraction(3, 5)
 
 
 def test_ratio_element_not_hashable():

@@ -51,9 +51,10 @@ def test_prime_seq_dtype_and_limit():
 
 
 @pytest.mark.parametrize("segment_size", [16, 17, 64, 1024, 4096])
-def test_segment_size_does_not_change_output(segment_size):
+def test_segment_size_does_not_change_output(monkeypatch, segment_size):
     base = sieve.primes_up_to(100_000).primes
-    seg = sieve.primes_up_to(100_000, segment_size=segment_size).primes
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", segment_size)
+    seg = sieve.primes_up_to(100_000).primes
     assert np.array_equal(base, seg)
 
 
@@ -61,8 +62,10 @@ def test_segment_size_does_not_change_output(segment_size):
     "lo,hi",
     [(0, 100), (1, 100), (2, 100), (3, 97), (10, 11), (13, 13), (0, 2), (96, 97)],
 )
-def test_iter_prime_segments_boundaries(lo, hi):
-    chunks = list(sieve.iter_prime_segments(lo, hi, segment_size=16))
+def test_iter_prime_segments_boundaries(monkeypatch, lo, hi):
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", 16)
+    chunks = list(sieve.iter_prime_segments(lo, hi))
+    assert all(c[-1] - c[0] < 16 for c in chunks)
     got = [int(p) for c in chunks for p in c]
     assert got == oracle.primes_between(lo, hi)
 
@@ -182,9 +185,10 @@ def test_max_gap_against_oracle_sweep():
         assert (rec.gap, rec.lower_prime) == oracle.max_gap(limit)
 
 
-def test_max_gap_segment_boundaries_do_not_split_gaps():
+def test_max_gap_segment_boundaries_do_not_split_gaps(monkeypatch):
     # tiny segments force gaps to straddle segment edges
-    rec = sieve.max_gap_up_to(1_000, segment_size=16)
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", 16)
+    rec = sieve.max_gap_up_to(1_000)
     assert (rec.gap, rec.lower_prime) == oracle.max_gap(1_000)
 
 
@@ -296,7 +300,7 @@ def test_cached_primes_serves_prefix_without_rewrite(tmp_path):
     assert small.limit == 500
 
 
-def test_cache_served_as_segment_views(tmp_path):
+def test_cache_served_as_segment_views(tmp_path, monkeypatch):
     path = str(tmp_path / "p.tpc")
     sieve.save_cache(sieve.primes_up_to(10_000), path)
     ps = sieve.load_cache(path)
@@ -305,7 +309,8 @@ def test_cache_served_as_segment_views(tmp_path):
     assert not small.primes.flags.owndata          # a prefix view, not a copy
     assert small.primes.tolist() == oracle.primes_upto(5_000)
     for lo, hi, seg in [(1, 10_000, 16), (100, 9_000, 1000), (7, 8, 16), (1, 10_000, 1 << 21)]:
-        views = list(sieve.prime_stream(hi, lo=lo, cache=ps, segment_size=seg))
+        monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", seg)
+        views = list(sieve.prime_stream(hi, lo=lo, cache=ps))
         assert all(v.size and np.shares_memory(v, ps.primes) for v in views)
         assert all(v[-1] - v[0] < seg for v in views)
         assert np.concatenate(views or [[]]).tolist() == oracle.primes_upto(hi)[

@@ -9,6 +9,7 @@ the oracle's primes whatever the windows.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +25,16 @@ segment_sizes = st.integers(16, 1 << 14)
 
 
 def sieved(lo: int, hi: int, segment_size=None) -> list[int]:
-    chunks = sieve.iter_prime_segments(lo, hi, segment_size=segment_size)
+    """The primes of (lo, hi] sieved in windows of segment_size integers
+    (the default when None); each chunk must lie within one window.
+
+    The size is patched with mock.patch.object rather than a fixture: a
+    function-scoped fixture is not reset between Hypothesis examples.
+    """
+    size = sieve.DEFAULT_SEGMENT_SIZE if segment_size is None else segment_size
+    with mock.patch.object(sieve, "DEFAULT_SEGMENT_SIZE", size):
+        chunks = list(sieve.iter_prime_segments(lo, hi))
+    assert all(int(c[-1]) - int(c[0]) < size for c in chunks)
     return [int(p) for c in chunks for p in c]
 
 

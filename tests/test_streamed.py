@@ -115,10 +115,12 @@ def test_interval_in_one_window(monkeypatch):
     assert_streamed_row(10**6, 1.0)
 
 
-def test_interval_windows_cover_interval_primes():
+def test_interval_windows_cover_interval_primes(monkeypatch):
     for seg in (16, 64, 2**12):
         ip = sieve.interval_primes(10_000, 30_000)
-        windows = list(sieve.interval_windows(10_000, 30_000, segment_size=seg))
+        with monkeypatch.context() as m:
+            m.setattr(sieve, "DEFAULT_SEGMENT_SIZE", seg)
+            windows = list(sieve.interval_windows(10_000, 30_000))
         assert np.array_equal(np.concatenate([w for w, _ in windows]), ip.primes)
         successors = [int(w[0]) for w, _ in windows[1:]] + [ip.p_e]
         assert [p_next for _, p_next in windows] == successors
@@ -163,33 +165,36 @@ def test_reduction_equals_materialised_ratio_set(segment):
         assert rep.decision == bool(rep.brute_force_twins)
 
 
-def test_reduction_near_the_cap():
+def test_reduction_near_the_cap(monkeypatch):
     # p*q passes 2^63 here; the sup is exact only with Python-int products
     x, y = 10**10 - 3000, 10**10
     rs = means.build_ratio_set(sieve.interval_primes(x, y))
-    iv = means.reduce_interval(x, y, sup=True, twins=True, segment_size=256)
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", 256)
+    iv = means.reduce_interval(x, y, sup=True, twins=True)
     assert iv.sup == rs.sup and iv.count == rs.primes.size
     assert [(p, p + 2) for p in iv.twin_lower.tolist()] == oracle.twin_pairs(x, y)
 
 
 @pytest.mark.parametrize("seg", [16, 64])
-def test_sup_of_a_twinless_interval_from_a_later_window(seg):
+def test_sup_of_a_twinless_interval_from_a_later_window(monkeypatch, seg):
     x, y = 9_999_998_611, 9_999_999_016   # between two twin pairs, near the cap
     rs = means.build_ratio_set(sieve.interval_primes(x, y))
-    iv = means.reduce_interval(x, y, sup=True, twins=True, segment_size=seg)
-    first, _ = next(sieve.interval_windows(x, y, segment_size=seg))
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", seg)
+    iv = means.reduce_interval(x, y, sup=True, twins=True)
+    first, _ = next(sieve.interval_windows(x, y))
     assert iv.sup.num > first[-1] and iv.twin_lower.size == 0
     assert (iv.sup.num, iv.sup.den) == (rs.sup.num, rs.sup.den)
     assert verify.twin_criterion(x, y).decision is False
 
 
 @pytest.mark.parametrize("seg", [16, 64, 2**12])
-def test_twin_pairs_in_carries_across_windows(seg):
+def test_twin_pairs_in_carries_across_windows(monkeypatch, seg):
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", seg)
     rng = random.Random(seg)
     for _ in range(30):
         x = rng.randrange(1, 20_000)
         y = x + rng.randrange(1, 2_000)
-        assert sieve.twin_pairs_in(x, y, segment_size=seg) == oracle.twin_pairs(x, y)
+        assert sieve.twin_pairs_in(x, y) == oracle.twin_pairs(x, y)
 
 
 def test_theorem1_report_memory_is_bounded_by_the_windows():

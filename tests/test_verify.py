@@ -5,7 +5,9 @@ from the exact ratio product of the interval (the product itself is the
 Fraction 1268651/1456875 for x=100, c=1; see _oracles.t_product_exact).
 """
 
+import concurrent.futures
 import math
+import multiprocessing
 import os
 import random
 import subprocess
@@ -163,6 +165,38 @@ def test_scan_parallel_equals_serial():
     serial, _ = theorem1_scan(xs, 1.0, jobs=1)
     parallel, _ = theorem1_scan(xs, 1.0, jobs=2)
     assert parallel == serial
+
+
+@pytest.mark.parametrize(
+    "xs,jobs,workers",
+    [([100], 5_000, 1), ([100, 500, 1_000], 8, 3), ([100, 500, 1_000], 2, 2)],
+)
+def test_scan_starts_no_more_workers_than_rows(monkeypatch, xs, jobs, workers):
+    # a fork pool starts every worker at its first submit; this stand-in
+    # records how many were asked for and runs the rows here, starting none
+    asked = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = concurrent.futures.Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    rows, failures = theorem1_scan(xs, 1.0, jobs=jobs)
+    assert asked == [workers]
+    assert failures == [] and rows == [theorem1_report(x, 1.0) for x in xs]
+    assert theorem1_scan([], 1.0, jobs=jobs) == ([], []) and asked == [workers]
+    assert multiprocessing.active_children() == []
 
 
 def test_scan_collects_failures_and_keeps_going():
