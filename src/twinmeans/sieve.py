@@ -10,6 +10,8 @@ costs what its windows hold rather than a rebuild of the primes up to
 sqrt(hi).  Each window is marked one of two ways.  If many base primes hit
 it a few times each (a short window), one scatter marks all their
 multiples.  Otherwise each prime marks its multiples with one strided slice.
+An interval (x, y] is sieved in one call together with a short look-ahead
+past y, so its primes and the successor prime of y come from one pass.
 
 Results are int64 numpy arrays throughout.  A prime itself fits int64 with
 room to spare, but a product of two primes does not: near the
@@ -22,6 +24,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+import warnings
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -124,9 +127,10 @@ def iter_prime_segments(
     """Yield the primes p with lo < p <= hi as increasing int64 arrays.
 
     The arrays are the primes of consecutive windows of DEFAULT_SEGMENT_SIZE
-    integers; a window without a prime yields nothing.  Window boundaries never change the concatenated output, only
-    how much memory a window takes.  Raises CapacityError when hi exceeds
-    the cap (MAX_SIEVE_LIMIT unless overridden).
+    integers; a window without a prime yields nothing.  Window boundaries
+    never change the concatenated output, only how much memory a window
+    takes.  Raises CapacityError when hi exceeds the cap (MAX_SIEVE_LIMIT
+    unless overridden).
     """
     cap = MAX_SIEVE_LIMIT if max_limit is None else int(max_limit)
     lo, hi = int(lo), int(hi)
@@ -231,12 +235,19 @@ def prime_count(x: int, *, cache: Optional[PrimeSeq] = None) -> int:
     return sum(int(seg.size) for seg in prime_stream(x, cache=cache))
 
 
+def _probe_width(n: int) -> int:
+    """The first look-ahead past n for its successor prime: about log(n)^2
+    integers, which reach the next prime for every n up to the cap (the
+    maximal prime gaps there stay below log(p)^2)."""
+    return max(64, int(math.log(n) ** 2) + 1)
+
+
 def next_prime_after(n: int) -> int:
     """Smallest prime > n, via geometrically growing sieve windows."""
     n = int(n)
     if n < 2:
         return 2
-    window = max(64, int(math.log(n) ** 2) + 1)
+    window = _probe_width(n)
     while True:
         hi = n + window
         for seg in iter_prime_segments(n, hi, max_limit=hi):
@@ -248,20 +259,33 @@ def interval_windows(x: int, y: int) -> Iterator[tuple[np.ndarray, int]]:
     """Yield (primes, p_next) for each sieve window of (x, y] that holds a prime.
 
     p_next is the prime after primes[-1]: the first prime of the next
-    window, and next_prime_after(y) for the last.  Each window is held back
-    until its successor is known, so at most two windows of primes are
-    alive at once.  An interval without primes yields nothing.
+    window, and the first prime past y for the last.  One sieve pass over
+    (x, y + w], w = _probe_width(y), gives both: the windows are clipped at
+    y and the successor is the first prime beyond.  Only when (y, y + w]
+    holds no prime does next_prime_after search on past y + w.  Each window
+    is held back until its successor is known, so at most two windows of
+    primes are alive at once.  An interval without primes yields nothing.
+    The cap applies to y; the look-ahead past y may pass it.
     """
     x, y = int(x), int(y)
     if not 0 < x < y:
         raise ValueError("need 0 < x < y")
+    if y > MAX_SIEVE_LIMIT:
+        raise CapacityError(f"limit {y} exceeds configured maximum {MAX_SIEVE_LIMIT}")
+    hi = y + _probe_width(y)
     held = None
-    for seg in iter_prime_segments(x, y):
-        if held is not None:
-            yield held, int(seg[0])
-        held = seg
+    for seg in iter_prime_segments(x, hi, max_limit=hi):
+        cut = int(np.searchsorted(seg, y, side="right"))
+        if cut:
+            if held is not None:
+                yield held, int(seg[0])
+            held = seg[:cut]
+        if cut < seg.size:      # seg[cut] is the first prime past y
+            if held is not None:
+                yield held, int(seg[cut])
+            return
     if held is not None:
-        yield held, next_prime_after(y)
+        yield held, next_prime_after(hi)
 
 
 def interval_primes(x: int, y: int) -> IntervalPrimes:
@@ -270,7 +294,8 @@ def interval_primes(x: int, y: int) -> IntervalPrimes:
     Mind the memory: the result holds every prime of the interval, and it
     is built from the windows plus their concatenated copy.  A reduction
     that needs one pass only can stream interval_windows instead
-    (means.reduce_interval), which holds two windows.
+    (means.reduce_interval), which holds two windows.  An interval without
+    primes has no window to carry p_e, so it probes past y again.
     """
     windows = list(interval_windows(x, y))
     x, y = int(x), int(y)
@@ -353,9 +378,9 @@ def load_cache(path: str) -> PrimeSeq:
     monotonicity, that no entry exceeds the recorded limit, and the content
     of the first and the last DEFAULT_SEGMENT_SIZE window of (1, limit]: both
     are sieved again and must equal the stored entries.  A prime missing or
-    added in between is not seen; checking random mid-file windows is still
-    open (ROADMAP, trust boundaries).  Any failure raises CacheFormatError
-    so the caller can rebuild.
+    added in between is not seen; a whole-file check against an independent
+    prime count is still open (ROADMAP, item 2).  Any failure raises
+    CacheFormatError so the caller can rebuild.
     """
     head = len(CACHE_MAGIC) + 1 + _CACHE_HEADER.size
     with open(path, "rb") as fh:
@@ -388,12 +413,17 @@ def cached_primes_up_to(limit: int, path: str) -> PrimeSeq:
     """Primes up to `limit` backed by a cache file.
 
     A valid cache with a limit at least as large serves a prefix view; anything
-    else (missing, corrupt, too small) is rebuilt and rewritten.
+    else (missing, corrupt, too small) is rebuilt and rewritten.  A file that
+    load_cache rejects is reported with a RuntimeWarning, naming the path and
+    the reason, before it is replaced; a missing or too small one is not.
     """
     limit = int(limit)
     try:
         ps = load_cache(path)
-    except (FileNotFoundError, CacheFormatError):
+    except FileNotFoundError:
+        ps = None
+    except CacheFormatError as exc:
+        warnings.warn(f"rebuilding prime cache {path}: {exc}", RuntimeWarning, stacklevel=2)
         ps = None
     if ps is not None and ps.limit >= limit:
         cut = int(np.searchsorted(ps.primes, limit, side="right"))

@@ -2,9 +2,9 @@
 rows that survive a crashed worker.
 
 The sieve-work tests wrap sieve.iter_prime_segments with a counter: every
-sieve in the package (interval_primes, next_prime_after, twin_pairs_in,
-prime_stream) goes through it.  A report over (x, y] may sieve y - x
-integers once, plus the first window of the successor probe past y.  A
+sieve in the package (interval_windows, next_prime_after, twin_pairs_in,
+prime_stream) goes through it.  A report over (x, y] sieves (x, y + w]
+in one call, w the look-ahead that holds the successor prime of y.  A
 prime-sum command sieves (1, max(x, cutoff)] once.
 """
 
@@ -16,8 +16,8 @@ import random
 import numpy as np
 import pytest
 
-from twinmeans import cli, sieve, verify
-from twinmeans.errors import EmptySetError
+from twinmeans import cli, means, sieve, verify
+from twinmeans.errors import CapacityError, EmptySetError
 
 import _oracles as oracle
 
@@ -37,14 +37,12 @@ def sieved(monkeypatch):
 
 
 def probe_window(y: int) -> int:
-    """The first window next_prime_after(y) sieves."""
+    """The look-ahead past y: the first window next_prime_after(y) sieves."""
     return max(64, int(math.log(y) ** 2) + 1)
 
 
 def assert_one_pass(spans, x, y):
-    assert spans[0] == (x, y)
-    assert all(lo == y for lo, _ in spans[1:])          # only the successor probe
-    assert sum(hi - lo for lo, hi in spans) <= (y - x) + probe_window(y)
+    assert spans == [(x, y + probe_window(y))]
 
 
 @pytest.mark.parametrize("x", [10**5, 10**6, 10**7])
@@ -97,10 +95,50 @@ def test_theorem1_twin_pairs_match_twin_scan_sweep():
     assert checked > 100
 
 
+def test_twin_criterion_sieves_twice(sieved):
+    """One pass over the window and its look-ahead, and the brute-force
+    scan over (x, y + 2], which keeps its own sieve as a cross-check."""
+    x, y = 999_999_000, 999_999_600
+    rep = verify.twin_criterion(x, y)
+    assert rep.decision == bool(rep.brute_force_twins)
+    assert sieved == [(x, y + probe_window(y)), (x, y + 2)]
+
+
+@pytest.mark.parametrize(
+    "p,width", [(23, 1), (999_983, 8), (1_294_268_491, 64)]   # gaps 6, 20, 288
+)
+def test_successor_past_a_look_ahead_without_primes(monkeypatch, sieved, p, width):
+    """When (y, y + w] holds no prime, interval_windows searches on with
+    next_prime_after(y + w), and p_e is still the successor of y."""
+    x, y = p - 1, p + 1
+    monkeypatch.setattr(sieve, "_probe_width", lambda n: width)
+    ip = sieve.interval_primes(x, y)
+    assert ip.primes.tolist() == [p]
+    assert ip.p_e == oracle.next_prime(y)
+    assert sieved[:2] == [(x, y + width), (y + width, y + 2 * width)]
+    assert means.reduce_interval(x, y).p_e == ip.p_e
+
+
+def test_twin_criterion_at_the_cap(sieved):
+    """The cap applies to y, checked before any sieving; the look-ahead
+    past y may pass the cap."""
+    x, y = sieve.MAX_SIEVE_LIMIT - 600, sieve.MAX_SIEVE_LIMIT
+    rep = verify.twin_criterion(x, y)
+    twins = oracle.twin_pairs(x, y)
+    assert rep.P == oracle.primes_between(x, y)[-1]
+    assert rep.m_inf == max(oracle.ratio_elements(x, y))
+    assert rep.brute_force_twins == twins
+    assert rep.decision == bool(twins)
+    sieved.clear()
+    with pytest.raises(CapacityError, match=f"limit {y + 1} exceeds"):
+        verify.twin_criterion(x, y + 1)
+    assert sieved == []
+
+
 def test_short_windows_build_the_base_primes_once(monkeypatch):
-    """The window, its successor probe and the brute-force scan of each
+    """The window with its look-ahead and the brute-force scan of each
     twin_criterion call share one kept base table: 200 windows near 1e9
-    build it once, where a build per sieve call would make 600."""
+    build it once, where a build per sieve call would make 400."""
     monkeypatch.setattr(sieve, "_base", (0,) + (np.empty(0, dtype=np.int64),) * 3)
     builds = []
     real = sieve._dense_primes

@@ -7,7 +7,9 @@ validate itself.
 
 import os
 import random
+import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -100,6 +102,13 @@ def test_capacity_cap_rejected_before_work():
     [(1, 2), (2, 3), (3, 5), (7, 11), (89, 97), (113, 127), (10**6, 1_000_003)],
 )
 def test_next_prime_after_known(n, expected):
+    assert sieve.next_prime_after(n) == expected
+
+
+@pytest.mark.parametrize("n,expected", [(10**12, 10**12 + 39), (10**14, 10**14 + 31)])
+def test_next_prime_after_far_past_the_cap(monkeypatch, n, expected):
+    """The int64 first-multiple arithmetic stays exact far past the cap."""
+    monkeypatch.setattr(sieve, "_base", sieve._base)   # 1e14 grows the table to 2^24
     assert sieve.next_prime_after(n) == expected
 
 
@@ -320,8 +329,10 @@ def test_cache_served_as_segment_views(tmp_path, monkeypatch):
 
 def test_cached_primes_rebuilds_when_too_small(tmp_path):
     path = str(tmp_path / "p.tpc")
-    sieve.cached_primes_up_to(100, path)
-    big = sieve.cached_primes_up_to(1_000, path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")     # first use and a too small file are silent
+        sieve.cached_primes_up_to(100, path)
+        big = sieve.cached_primes_up_to(1_000, path)
     assert big.primes.tolist() == oracle.primes_upto(1_000)
     assert sieve.load_cache(path).limit == 1_000
 
@@ -330,7 +341,8 @@ def test_cached_primes_rebuilds_corrupt_file(tmp_path):
     path = str(tmp_path / "p.tpc")
     with open(path, "wb") as fh:
         fh.write(b"garbage that is definitely not a prime cache")
-    ps = sieve.cached_primes_up_to(200, path)
+    with pytest.warns(RuntimeWarning, match=re.escape(f"{path}: bad cache magic")):
+        ps = sieve.cached_primes_up_to(200, path)
     assert ps.primes.tolist() == oracle.primes_upto(200)
     assert sieve.load_cache(path).limit == 200  # file replaced with a valid one
 
@@ -341,7 +353,9 @@ def test_cache_with_a_prime_missing_is_rejected_and_rebuilt(tmp_path):
     sieve.save_cache(sieve.PrimeSeq(limit=100, primes=np.delete(full, 10)), path)
     with pytest.raises(CacheFormatError, match="fresh sieve"):
         sieve.load_cache(path)
-    ps = sieve.cached_primes_up_to(100, path)
+    reason = re.escape(path) + ": cache primes in .* differ from a fresh sieve"
+    with pytest.warns(RuntimeWarning, match=reason):
+        ps = sieve.cached_primes_up_to(100, path)
     assert sieve.prime_count(100, cache=ps) == 25
     assert sieve.load_cache(path).primes.tolist() == oracle.primes_upto(100)
 
