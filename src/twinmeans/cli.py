@@ -244,11 +244,7 @@ def _emit(args, payload: dict, csv_fields: Sequence[str] = (), table=()) -> None
 
 
 def _cmd_primes(args) -> int:
-    count, head, tail = 0, [], []
-    for seg in sieve.prime_stream(args.limit, cache=_cache_for(args, args.limit)):
-        count += int(seg.size)
-        head += seg[: 10 - len(head)].tolist()
-        tail = (tail + seg[-10:].tolist())[-10:]
+    count, head, tail = sieve.prime_summary(args.limit, 10, cache=_cache_for(args, args.limit))
     payload = {
         "limit": args.limit,
         "count": count,

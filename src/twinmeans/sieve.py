@@ -7,9 +7,24 @@ output is bit-identical for any size, and the size is read at call time, so
 the tests patch it to show that.  The odd base primes are kept between
 calls in one table, grown to the next power of two past sqrt(hi), so a call
 costs what its windows hold rather than a rebuild of the primes up to
-sqrt(hi).  Each window is marked one of two ways.  If many base primes hit
-it a few times each (a short window), one scatter marks all their
-multiples.  Otherwise each prime marks its multiples with one strided slice.
+sqrt(hi).
+
+One private generator, _marked_windows, marks the windows, and every
+reader goes through it.  A window starts as a copy of a pre-sieve pattern
+that already strikes the multiples of 3, 5, 7, 11 and 13: 15015 flags, one
+period of those five primes in odd-index space, copied in at the window's
+phase (after primesieve's pre-sieve).  The base primes from 17 on mark the
+rest one of two ways.  If many of them hit the window a few times each (a
+short window), one scatter marks all their multiples.  Otherwise each prime
+marks its multiples with one strided slice.  Two readers take the flags:
+
+- the primes reader (iter_prime_segments) turns them into primes with
+  nonzero.  It keeps nonzero on numpy's dense path: that switches to a
+  slower sparse path when at most 1/10 of the flags are set, as they are
+  past x ~ e^20, so the reader sets a few flags past the window first;
+- the count reader (prime_count, prime_summary) sums count_nonzero and
+  builds no primes, except the few an ends summary asks for.
+
 An interval (x, y] is sieved in one call together with a short look-ahead
 past y, so its primes and the successor prime of y come from one pass.
 
@@ -33,12 +48,13 @@ import numpy as np
 from .errors import CacheFormatError, CapacityError
 
 # Integers per window: 1 MiB of odd flags, which stays in cache while the
-# base primes stride through it.  prime_count(1e8) takes 0.23 s at 2^21
-# against 0.38 s at 2^23 (2 cores, numpy 2.4, Python 3.11).  A window this
-# size is marked by slices: its base primes hit it 200 times or more each
-# on average, where one scatter pays only below 32 (iter_prime_segments).
-# Read at call time, never bound at import or as a default argument, so
-# that patching it (to any size >= 2) reaches the kernel and the cache views.
+# base primes stride through it.  prime_count(1e8) takes 0.061 s at 2^21
+# against 0.077 s at 2^22 and 0.12 s at 2^23 (2 cores, numpy 2.4, Python
+# 3.11).  A window this size is marked by slices: its base primes hit it
+# 200 times or more each on average, where one scatter pays only below 32
+# (_marked_windows).  Read at call time, never bound at import or as a
+# default argument, so that patching it (to any size >= 2) reaches the
+# kernel and the cache views.
 DEFAULT_SEGMENT_SIZE = 1 << 21
 MAX_SIEVE_LIMIT = 10**10
 
@@ -96,17 +112,56 @@ def _dense_primes(limit: int) -> np.ndarray:
     return np.flatnonzero(flags).astype(np.int64)
 
 
-# The kept base table: (limit, odd primes <= limit, their squares, their
-# halves (p + 1)//2), limit a power of two.  It is replaced whole, in one
-# assignment, so a reader never pairs the primes of one build with the
-# squares of another.  At the cap it holds the 12,250 odd primes < 2^17.
-_base: tuple[int, np.ndarray, np.ndarray, np.ndarray] = (
-    0, *(np.empty(0, dtype=np.int64),) * 3
-)
+# The pre-sieve: 3*5*7*11*13 = 15015 consecutive odd numbers, as flags in
+# odd-index space (flag i stands for 2i + 1), False on the multiples of those
+# five primes.  The pattern repeats with that period, so a window starting at
+# the odd number cur takes it at phase ((cur - 1)/2) mod 15015.
+_PRESIEVED = (3, 5, 7, 11, 13)
 
 
-def _base_primes(root: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Odd primes <= root with their squares and halves, as prefix views.
+def _presieve_pattern() -> np.ndarray:
+    pattern = np.ones(math.prod(_PRESIEVED), dtype=bool)
+    for p in _PRESIEVED:
+        pattern[p // 2 :: p] = False
+    return pattern
+
+
+_PATTERN = _presieve_pattern()
+
+
+def _presieve(flags: np.ndarray, cur: int) -> None:
+    """Set flags[j] to whether cur + 2j has no prime factor <= 13.
+
+    The pattern goes in once at the window's phase (two copies) and then
+    doubles in place, whole periods at a time, so no window-long copy of
+    the pattern is ever kept.
+    """
+    k, period = flags.size, _PATTERN.size
+    phase = (cur - 1) // 2 % period
+    m = min(k, period)
+    a = min(m, period - phase)
+    flags[:a] = _PATTERN[phase : phase + a]
+    flags[a:m] = _PATTERN[: m - a]
+    while m < k:               # m is a multiple of the period here
+        step = min(m, k - m)
+        flags[m : m + step] = flags[:step]
+        m += step
+    if cur <= _PRESIEVED[-1]:  # the pre-sieved primes themselves are prime
+        for p in _PRESIEVED:
+            if cur <= p < cur + 2 * k:
+                flags[(p - cur) // 2] = True
+
+
+# The kept base table: (limit, odd primes <= limit, their squares), limit a
+# power of two.  It is replaced whole, in one assignment, so a reader never
+# pairs the primes of one build with the squares of another.  At the cap it
+# holds the 12,250 odd primes < 2^17.
+_base: tuple[int, np.ndarray, np.ndarray] = (0, *(np.empty(0, dtype=np.int64),) * 2)
+
+
+def _base_primes(root: int) -> tuple[np.ndarray, np.ndarray]:
+    """The primes 17 <= p <= root with their squares, as views of the
+    table (3 to 13 are pre-sieved, _presieve).
 
     The table grows to the next power of two past root, at least doubling,
     so calls up to a given root rebuild it O(log root) times at most.
@@ -116,21 +171,24 @@ def _base_primes(root: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if root > table[0]:
         limit = 1 << root.bit_length()
         primes = _dense_primes(limit)[1:]
-        table = _base = (limit, primes, primes * primes, (primes + 1) // 2)
+        table = _base = (limit, primes, primes * primes)
     n = int(np.searchsorted(table[1], root, side="right"))
-    return table[1][:n], table[2][:n], table[3][:n]
+    s = len(_PRESIEVED)
+    return table[1][s:n], table[2][s:n]
 
 
-def iter_prime_segments(
-    lo: int, hi: int, *, max_limit: Optional[int] = None
-) -> Iterator[np.ndarray]:
-    """Yield the primes p with lo < p <= hi as increasing int64 arrays.
+def _marked_windows(
+    lo: int, hi: int, max_limit: Optional[int] = None
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Yield (cur, k, buf) for each window of the numbers in (lo, hi].
 
-    The arrays are the primes of consecutive windows of DEFAULT_SEGMENT_SIZE
-    integers; a window without a prime yields nothing.  Window boundaries
-    never change the concatenated output, only how much memory a window
-    takes.  Raises CapacityError when hi exceeds the cap (MAX_SIEVE_LIMIT
-    unless overridden).
+    buf[j] for j < k is True exactly when cur + 2j is prime: the windows
+    cover the odd numbers of (lo, hi] in increasing order, DEFAULT_SEGMENT_SIZE
+    integers each, with 2 (when lo < 2 <= hi) as a window of its own with
+    cur = 2, k = 1.  buf is reused, so it is valid until the next step, and
+    it holds k//9 + 1 spare flags past k that a reader may overwrite
+    (_window_primes).  Every reader of the sieve goes through here.  Raises
+    CapacityError when hi exceeds the cap (MAX_SIEVE_LIMIT unless overridden).
     """
     cap = MAX_SIEVE_LIMIT if max_limit is None else int(max_limit)
     lo, hi = int(lo), int(hi)
@@ -139,27 +197,29 @@ def iter_prime_segments(
     if hi < 2 or hi <= lo:
         return
     if lo < 2:
-        yield np.array([2], dtype=np.int64)
-    cur = max(lo + 1, 3)
-    if cur % 2 == 0:
-        cur += 1
+        yield 2, 1, np.ones(2, dtype=bool)
+    cur = max(lo + 1, 3) | 1
     if cur > hi:
         return
-    base, square, half = _base_primes(math.isqrt(hi))
+    base, square = _base_primes(math.isqrt(hi))
     odds_per_seg = DEFAULT_SEGMENT_SIZE // 2
-    buf = np.empty(min(odds_per_seg, (hi - cur) // 2 + 1), dtype=bool)
+    k = min(odds_per_seg, (hi - cur) // 2 + 1)
+    buf = np.empty(k + k // 9 + 1, dtype=bool)
     while cur <= hi:
         k = min(odds_per_seg, (hi - cur) // 2 + 1)
         end = cur + 2 * k          # exclusive, odd-aligned
-        flags = buf[:k]            # reused: each block is a fresh array
-        flags.fill(True)
-        # odd-index j of the first odd multiple of p from max(p*p, cur):
-        # cur + 2j = 0 (mod p) gives j = -cur/2 (mod p).  The base is sorted,
-        # so the primes with p*p >= cur are a suffix, and those with
+        flags = buf[:k]
+        _presieve(flags, cur)
+        # odd-index j of the first odd multiple of p from max(p*p, cur).
+        # The first multiple from cur is cur + t, t = -cur mod p; it is odd
+        # when t is even, else cur + t + p is, so j = t/2 or (t + p)/2 (one
+        # int64 modulo, the costly step of a short window).  The base is
+        # sorted, so the primes with p*p >= cur are a suffix, and those with
         # p*p >= end miss the window altogether.
         s, e = square.searchsorted((cur, end)).tolist()
         p = base[:s]
-        j = (-cur % p) * half[:s] % p
+        t = -cur % p
+        j = (t + (t & 1) * p) >> 1
         hit = j < k
         p, j = p[hit], j[hit]
         if e > s:
@@ -183,12 +243,43 @@ def iter_prime_segments(
         else:
             for pi, ji in zip(p.tolist(), j.tolist()):
                 flags[ji::pi] = False
-        block = flags.nonzero()[0].astype(np.int64, copy=False)
-        block *= 2
-        block += cur
+        yield cur, k, buf
+        cur = end
+
+
+def _window_primes(cur: int, k: int, buf: np.ndarray) -> np.ndarray:
+    """The primes of one marked window, increasing int64 (the primes reader)."""
+    n = int(np.count_nonzero(buf[:k]))
+    if not n:
+        return np.empty(0, dtype=np.int64)
+    # numpy's nonzero on bools switches to a sparse memchr path, about 2.5x
+    # slower here, when at most 1/10 of the flags are set; past x ~ e^20
+    # the odd primes are that sparse.  pad True flags past the window keep
+    # more than 1/10 of the flags read set, (n + pad)*10 > k + pad, and the
+    # first n indices are the window's own.
+    pad = max(0, (k - 10 * n) // 9 + 1)
+    buf[k : k + pad] = True
+    block = buf[: k + pad].nonzero()[0][:n].astype(np.int64, copy=False)
+    block *= 2
+    block += cur
+    return block
+
+
+def iter_prime_segments(
+    lo: int, hi: int, *, max_limit: Optional[int] = None
+) -> Iterator[np.ndarray]:
+    """Yield the primes p with lo < p <= hi as increasing int64 arrays.
+
+    The arrays are the primes of consecutive windows of DEFAULT_SEGMENT_SIZE
+    integers; a window without a prime yields nothing.  Window boundaries
+    never change the concatenated output, only how much memory a window
+    takes.  Raises CapacityError when hi exceeds the cap (MAX_SIEVE_LIMIT
+    unless overridden).
+    """
+    for window in _marked_windows(lo, hi, max_limit):
+        block = _window_primes(*window)
         if block.size:
             yield block
-        cur = end
 
 
 def prime_stream(
@@ -227,12 +318,54 @@ def primes_up_to(limit: int) -> PrimeSeq:
     return PrimeSeq(limit=limit, primes=primes)
 
 
+def _last_primes(cur: int, flags: np.ndarray, m: int) -> list[int]:
+    """The last m primes of a marked window, or all it holds if fewer.
+
+    The last 64*m flags hold 128*m/log(x) primes on average, more than 5*m
+    below the cap, so they nearly always hold m; the whole window is read
+    when they do not.
+    """
+    start = max(0, flags.size - 64 * m)
+    idx = np.flatnonzero(flags[start:])
+    if idx.size < m and start:
+        start, idx = 0, np.flatnonzero(flags)
+    return ((idx[-m:] + start) * 2 + cur).tolist()
+
+
+def prime_summary(
+    limit: int, ends: int, *, cache: Optional[PrimeSeq] = None
+) -> tuple[int, list[int], list[int]]:
+    """pi(limit) with the first and the last `ends` primes <= limit.
+
+    One pass over (1, limit] counts every window (count_nonzero).  It builds
+    the primes of a window only while the head is short of `ends`, and takes
+    the tail from the last `ends` primes of each window, found by a short
+    search back from its end.  A cache that covers limit is read with one
+    searchsorted instead.
+    """
+    limit = int(limit)
+    if limit < 0:
+        raise ValueError("limit must be >= 0")
+    if cache is not None and cache.limit >= limit:
+        arr = cache.primes
+        count = int(np.searchsorted(arr, limit, side="right"))
+        return count, arr[: min(ends, count)].tolist(), arr[max(0, count - ends) : count].tolist()
+    count, head, tail = 0, [], []
+    for cur, k, buf in _marked_windows(1, limit):
+        n = int(np.count_nonzero(buf[:k]))
+        count += n
+        if n and len(head) < ends:
+            head += _window_primes(cur, k, buf)[: ends - len(head)].tolist()
+        if n and ends:
+            tail = (tail + _last_primes(cur, buf[:k], ends))[-ends:]
+    return count, head, tail
+
+
 def prime_count(x: int, *, cache: Optional[PrimeSeq] = None) -> int:
-    """Exact number of primes <= x, counted without materializing them."""
-    x = int(x)
-    if x < 0:
-        raise ValueError("x must be >= 0")
-    return sum(int(seg.size) for seg in prime_stream(x, cache=cache))
+    """Exact number of primes <= x, counted without building them: the sum
+    of count_nonzero over the marked windows of (1, x], or one searchsorted
+    on a cache that covers x."""
+    return prime_summary(x, 0, cache=cache)[0]
 
 
 def _probe_width(n: int) -> int:
@@ -255,6 +388,28 @@ def next_prime_after(n: int) -> int:
         window *= 2
 
 
+def _interval_pass(x: int, y: int) -> Iterator[tuple[np.ndarray, int]]:
+    """interval_windows, except that an interval without primes yields one
+    (empty, p_e) from the same pass instead of nothing."""
+    x, y = int(x), int(y)
+    if not 0 < x < y:
+        raise ValueError("need 0 < x < y")
+    if y > MAX_SIEVE_LIMIT:
+        raise CapacityError(f"limit {y} exceeds configured maximum {MAX_SIEVE_LIMIT}")
+    hi = y + _probe_width(y)
+    held = np.empty(0, dtype=np.int64)
+    for seg in iter_prime_segments(x, hi, max_limit=hi):
+        cut = int(np.searchsorted(seg, y, side="right"))
+        if cut:
+            if held.size:
+                yield held, int(seg[0])
+            held = seg[:cut]
+        if cut < seg.size:      # seg[cut] is the first prime past y
+            yield held, int(seg[cut])
+            return
+    yield held, next_prime_after(hi)
+
+
 def interval_windows(x: int, y: int) -> Iterator[tuple[np.ndarray, int]]:
     """Yield (primes, p_next) for each sieve window of (x, y] that holds a prime.
 
@@ -267,25 +422,9 @@ def interval_windows(x: int, y: int) -> Iterator[tuple[np.ndarray, int]]:
     primes are alive at once.  An interval without primes yields nothing.
     The cap applies to y; the look-ahead past y may pass it.
     """
-    x, y = int(x), int(y)
-    if not 0 < x < y:
-        raise ValueError("need 0 < x < y")
-    if y > MAX_SIEVE_LIMIT:
-        raise CapacityError(f"limit {y} exceeds configured maximum {MAX_SIEVE_LIMIT}")
-    hi = y + _probe_width(y)
-    held = None
-    for seg in iter_prime_segments(x, hi, max_limit=hi):
-        cut = int(np.searchsorted(seg, y, side="right"))
-        if cut:
-            if held is not None:
-                yield held, int(seg[0])
-            held = seg[:cut]
-        if cut < seg.size:      # seg[cut] is the first prime past y
-            if held is not None:
-                yield held, int(seg[cut])
-            return
-    if held is not None:
-        yield held, next_prime_after(hi)
+    for primes, p_next in _interval_pass(x, y):
+        if primes.size:
+            yield primes, p_next
 
 
 def interval_primes(x: int, y: int) -> IntervalPrimes:
@@ -295,17 +434,18 @@ def interval_primes(x: int, y: int) -> IntervalPrimes:
     is built from the windows plus their concatenated copy.  A reduction
     that needs one pass only can stream interval_windows instead
     (means.reduce_interval), which holds two windows.  An interval without
-    primes has no window to carry p_e, so it probes past y again.
+    primes takes p_e, which is then also p_s, from the same pass.
     """
-    windows = list(interval_windows(x, y))
-    x, y = int(x), int(y)
-    if not windows:
-        p_e = next_prime_after(y)
-        empty = np.empty(0, dtype=np.int64)
-        return IntervalPrimes(x=x, y=y, primes=empty, p_s=p_e, P=None, p_e=p_e)
+    windows = list(_interval_pass(x, y))
     primes = np.concatenate([w for w, _ in windows])
+    p_e = windows[-1][1]
     return IntervalPrimes(
-        x=x, y=y, primes=primes, p_s=int(primes[0]), P=int(primes[-1]), p_e=windows[-1][1]
+        x=int(x),
+        y=int(y),
+        primes=primes,
+        p_s=int(primes[0]) if primes.size else p_e,
+        P=int(primes[-1]) if primes.size else None,
+        p_e=p_e,
     )
 
 

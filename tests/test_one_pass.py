@@ -1,9 +1,11 @@
 """One sieve pass per interval report and per prime-sum command, and scan
 rows that survive a crashed worker.
 
-The sieve-work tests wrap sieve.iter_prime_segments with a counter: every
-sieve in the package (interval_windows, next_prime_after, twin_pairs_in,
-prime_stream) goes through it.  A report over (x, y] sieves (x, y + w]
+The sieve-work tests wrap sieve._marked_windows, the generator of marked
+windows, with a counter: every reader of the sieve in the package
+(iter_prime_segments and through it interval_windows, next_prime_after,
+twin_pairs_in and prime_stream, and the counting prime_summary) goes
+through it.  A report over (x, y] sieves (x, y + w]
 in one call, w the look-ahead that holds the successor prime of y.  A
 prime-sum command sieves (1, max(x, cutoff)] once.
 """
@@ -24,15 +26,15 @@ import _oracles as oracle
 
 @pytest.fixture
 def sieved(monkeypatch):
-    """(lo, hi) of every iter_prime_segments call made while the test runs."""
+    """(lo, hi) of every _marked_windows call made while the test runs."""
     spans = []
-    real = sieve.iter_prime_segments
+    real = sieve._marked_windows
 
-    def counting(lo, hi, **kwargs):
+    def counting(lo, hi, *args, **kwargs):
         spans.append((int(lo), int(hi)))
-        return real(lo, hi, **kwargs)
+        return real(lo, hi, *args, **kwargs)
 
-    monkeypatch.setattr(sieve, "iter_prime_segments", counting)
+    monkeypatch.setattr(sieve, "_marked_windows", counting)
     return spans
 
 
@@ -105,6 +107,19 @@ def test_twin_criterion_sieves_twice(sieved):
 
 
 @pytest.mark.parametrize(
+    "x,y,p_e",
+    [(24, 28, 29), (436_273_009, 436_273_290, 436_273_291)],   # the second: a record gap of 282
+)
+def test_interval_without_primes_sieves_once(sieved, x, y, p_e):
+    """p_e of an interval without primes comes from the same pass as the
+    interval, not from a second probe past y."""
+    ip = sieve.interval_primes(x, y)
+    assert ip.primes.size == 0 and ip.P is None
+    assert ip.p_s == ip.p_e == p_e
+    assert_one_pass(sieved, x, y)
+
+
+@pytest.mark.parametrize(
     "p,width", [(23, 1), (999_983, 8), (1_294_268_491, 64)]   # gaps 6, 20, 288
 )
 def test_successor_past_a_look_ahead_without_primes(monkeypatch, sieved, p, width):
@@ -139,7 +154,7 @@ def test_short_windows_build_the_base_primes_once(monkeypatch):
     """The window with its look-ahead and the brute-force scan of each
     twin_criterion call share one kept base table: 200 windows near 1e9
     build it once, where a build per sieve call would make 400."""
-    monkeypatch.setattr(sieve, "_base", (0,) + (np.empty(0, dtype=np.int64),) * 3)
+    monkeypatch.setattr(sieve, "_base", (0,) + (np.empty(0, dtype=np.int64),) * 2)
     builds = []
     real = sieve._dense_primes
 

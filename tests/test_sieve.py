@@ -86,6 +86,16 @@ def test_prime_count_millionth_milestone():
     assert sieve.prime_count(10**6) == 78_498
 
 
+def test_last_primes_reads_the_whole_window_past_a_sparse_end():
+    """The tail of the primes command falls back to the whole window when
+    its last 64*m flags hold fewer than m primes."""
+    flags = np.zeros(5_000, dtype=bool)
+    flags[[0, 3, 4_000]] = True
+    assert sieve._last_primes(11, flags, 3) == [11, 17, 8_011]
+    assert sieve._last_primes(11, flags, 2) == [17, 8_011]
+    assert sieve._last_primes(11, flags[:4], 3) == [11, 17]
+
+
 def test_capacity_cap_rejected_before_work():
     with pytest.raises(CapacityError):
         sieve.primes_up_to(sieve.MAX_SIEVE_LIMIT + 1)
