@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .errors import EmptySetError
-from .sieve import IntervalPrimes, PrimeSeq, prime_stream
+from .sieve import IntervalPrimes, PrimeFile, PrimeSeq, prime_stream
 
 if TYPE_CHECKING:
     from .verify import BetaSpec
@@ -190,7 +190,7 @@ def _count_upto(seg: np.ndarray, limit: int) -> int:
 
 
 def prime_sums(
-    limits: Mapping[str, int], *, cache: Optional[PrimeSeq] = None
+    limits: Mapping[str, int], *, cache: Optional[PrimeSeq | PrimeFile] = None
 ) -> dict[str, float]:
     """Exact sums over primes, each up to its own limit, from one pass.
 
@@ -241,7 +241,7 @@ def _constants(s: Mapping[str, float], cutoff: int) -> ConstantsBundle:
     )
 
 
-def mertens_sum(x: int, *, cache: Optional[PrimeSeq] = None) -> float:
+def mertens_sum(x: int, *, cache: Optional[PrimeSeq | PrimeFile] = None) -> float:
     """Correctly rounded sum of 1/p over primes p <= x."""
     return prime_sums({"recip": x}, cache=cache)["recip"]
 
@@ -258,14 +258,14 @@ def _mertens_row(x: int, obs: float, m_const: float) -> AsymptoticCheck:
 
 
 def mertens_check(
-    x: int, m_const: float, *, cache: Optional[PrimeSeq] = None
+    x: int, m_const: float, *, cache: Optional[PrimeSeq | PrimeFile] = None
 ) -> AsymptoticCheck:
     """Mertens sum against log log x + M; residual scaled by log^2 x."""
     return _mertens_row(x, mertens_sum(x, cache=cache), m_const)
 
 
 def mertens_report(
-    x: int, cutoff: int, *, cache: Optional[PrimeSeq] = None
+    x: int, cutoff: int, *, cache: Optional[PrimeSeq | PrimeFile] = None
 ) -> tuple[AsymptoticCheck, float]:
     """mertens_check(x, M) with M = estimate_M(cutoff), and that M, from
     one pass to max(x, cutoff)."""
@@ -275,7 +275,7 @@ def mertens_report(
 
 
 def estimate_C(
-    cutoff: int, *, cache: Optional[PrimeSeq] = None
+    cutoff: int, *, cache: Optional[PrimeSeq | PrimeFile] = None
 ) -> tuple[float, float]:
     """Partial sum of -(log(1 - 2/p) + 2/p) over odd primes p <= cutoff.
 
@@ -288,7 +288,7 @@ def estimate_C(
 
 
 def estimate_M(
-    cutoff: int, *, cache: Optional[PrimeSeq] = None
+    cutoff: int, *, cache: Optional[PrimeSeq | PrimeFile] = None
 ) -> tuple[float, float]:
     """Meissel-Mertens constant via gamma + sum_{p<=cutoff} (log(1-1/p) + 1/p).
 
@@ -324,14 +324,14 @@ def derived_constants(
 
 
 def compute_constants(
-    cutoff: int, *, cache: Optional[PrimeSeq] = None
+    cutoff: int, *, cache: Optional[PrimeSeq | PrimeFile] = None
 ) -> ConstantsBundle:
     """Estimate M and C at one cutoff, in one pass, and derive D', D."""
     s = prime_sums({"M": cutoff, "C": cutoff}, cache=cache)
     return _constants(s, cutoff)
 
 
-def twin_product(x: int, *, cache: Optional[PrimeSeq] = None) -> float:
+def twin_product(x: int, *, cache: Optional[PrimeSeq | PrimeFile] = None) -> float:
     """(1/2) * product over odd primes p <= x of (1 - 2/p)."""
     s = prime_sums({"twin": x}, cache=cache)["twin"]
     return _twin_product(s)
@@ -353,14 +353,14 @@ def _lemma1_row(x: int, obs: float, consts: ConstantsBundle) -> AsymptoticCheck:
 
 
 def lemma1_check(
-    x: int, consts: ConstantsBundle, *, cache: Optional[PrimeSeq] = None
+    x: int, consts: ConstantsBundle, *, cache: Optional[PrimeSeq | PrimeFile] = None
 ) -> AsymptoticCheck:
     """Twin-factor product against its predicted decay exp(-D)/log^2 x."""
     return _lemma1_row(x, twin_product(x, cache=cache), consts)
 
 
 def lemma1_report(
-    x: int, cutoff: int, *, cache: Optional[PrimeSeq] = None
+    x: int, cutoff: int, *, cache: Optional[PrimeSeq | PrimeFile] = None
 ) -> tuple[AsymptoticCheck, ConstantsBundle]:
     """lemma1_check(x, compute_constants(cutoff)), and those constants, from
     one pass to max(x, cutoff)."""

@@ -20,7 +20,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence, get_type_
 
 from . import analytic, selftest, sieve, verify
 from .errors import CacheFormatError, CapacityError
-from .sieve import PrimeSeq
+from .sieve import PrimeFile
 from .verify import TwinPairs
 
 CACHE_ENV_VAR = "TWINMEANS_PRIME_CACHE"
@@ -215,7 +215,7 @@ def _int_list_arg(s: str) -> list[int]:
     return vals
 
 
-def _cache_for(args, limit: int) -> Optional[PrimeSeq]:
+def _cache_for(args, limit: int) -> Optional[PrimeFile]:
     path = getattr(args, "cache_path", None) or os.environ.get(CACHE_ENV_VAR)
     return sieve.cached_primes_up_to(limit, path) if path else None
 

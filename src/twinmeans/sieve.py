@@ -28,6 +28,14 @@ marks its multiples with one strided slice.  Two readers take the flags:
 An interval (x, y] is sieved in one call together with a short look-ahead
 past y, so its primes and the successor prime of y come from one pass.
 
+A TPC1 cache file is never loaded whole.  load_cache validates it in one
+pass over fixed-size blocks and returns a PrimeFile handle; prime_stream
+and prime_summary then read the file one window, or a few entries, at a
+time, through the same two operations by which they serve an in-memory
+PrimeSeq.  A missing or rejected cache is written straight from the sieve
+windows (save_cache), so neither reading nor building a cache holds every
+prime.
+
 Results are int64 numpy arrays throughout.  A prime itself fits int64 with
 room to spare, but a product of two primes does not: near the
 MAX_SIEVE_LIMIT = 1e10 cap, p*q reaches 1e20 > 2^63.  Code that compares
@@ -36,6 +44,7 @@ ratios of primes therefore cross-multiplies Python ints, never int64 arrays.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import struct
@@ -54,13 +63,22 @@ from .errors import CacheFormatError, CapacityError
 # 200 times or more each on average, where one scatter pays only below 32
 # (_marked_windows).  Read at call time, never bound at import or as a
 # default argument, so that patching it (to any size >= 2) reaches the
-# kernel and the cache views.
+# kernel and the cache windows (prime_stream).
 DEFAULT_SEGMENT_SIZE = 1 << 21
 MAX_SIEVE_LIMIT = 10**10
 
 CACHE_MAGIC = b"TPC1"
 CACHE_VERSION = 1
 _CACHE_HEADER = struct.Struct("<QQ")   # limit, count (little-endian u64)
+_CACHE_HEAD = len(CACHE_MAGIC) + 1 + _CACHE_HEADER.size   # payload offset, 21
+# Entries per read while load_cache validates a file: 4 MiB.  Freeing a
+# block this size also spares the window reads that follow from faulting
+# in fresh pages: glibc raises its mmap threshold to the largest block
+# freed and trims the heap only past twice that, so the ~1 MB windows and
+# their consumers' temporaries then reuse the heap.  A cached mertens at
+# 1e8 takes 8.7K minor faults with 4 MiB blocks, 33K with 1 MiB blocks
+# (7K when the whole file was loaded).
+_CACHE_BLOCK = 1 << 19
 
 
 @dataclass(eq=False)
@@ -69,6 +87,55 @@ class PrimeSeq:
 
     limit: int
     primes: np.ndarray
+
+    # The two reads that prime_stream and prime_summary serve a cache with,
+    # shared with PrimeFile: the number of entries <= v, and entries [a, b).
+    def _upto(self, v: int) -> int:
+        return int(np.searchsorted(self.primes, v, side="right"))
+
+    def _entries(self, a: int, b: int) -> np.ndarray:
+        return self.primes[a:b]
+
+
+@dataclass(frozen=True)
+class PrimeFile:
+    """The primes up to `limit` held in a TPC1 cache file: its first `count`
+    entries, which load_cache has validated.
+
+    The handle holds no primes.  Each read opens the file, seeks and reads
+    only what it asks for, so serving a cache takes one window of memory
+    however large the file is.  A read that comes back short (the file was
+    truncated or replaced since) raises CacheFormatError.
+    """
+
+    path: str
+    limit: int
+    count: int
+
+    def _upto(self, v: int) -> int:
+        lo, hi = 0, self.count      # binary search, one 8-byte read a probe
+        probe = np.empty(1, dtype=np.int64)
+        with open(self.path, "rb") as fh:
+            while lo < hi:
+                mid = (lo + hi) // 2
+                fh.seek(_CACHE_HEAD + 8 * mid)
+                if _read_entries(fh, probe)[0] <= v:
+                    lo = mid + 1
+                else:
+                    hi = mid
+        return lo
+
+    def _entries(self, a: int, b: int) -> np.ndarray:
+        with open(self.path, "rb") as fh:
+            fh.seek(_CACHE_HEAD + 8 * a)
+            return _read_entries(fh, np.empty(b - a, dtype=np.int64))
+
+
+def _read_entries(fh, out: np.ndarray) -> np.ndarray:
+    """Fill the int64 array `out` with the next entries of an open cache file."""
+    if fh.readinto(out) != out.nbytes:
+        raise CacheFormatError("cache file truncated")
+    return out
 
 
 @dataclass(eq=False)
@@ -283,22 +350,22 @@ def iter_prime_segments(
 
 
 def prime_stream(
-    hi: int, *, lo: int = 1, cache: Optional[PrimeSeq] = None
+    hi: int, *, lo: int = 1, cache: Optional[PrimeSeq | PrimeFile] = None
 ) -> Iterator[np.ndarray]:
     """Primes in (lo, hi], served from `cache` when it covers the range.
 
-    A cache is served as views of the windows (lo, lo + S], (lo + S,
-    lo + 2*S], ... with S = DEFAULT_SEGMENT_SIZE, so what a consumer builds
-    per window stays window-sized either way.
+    A cache is served in the windows (lo, lo + S], (lo + S, lo + 2*S], ...
+    with S = DEFAULT_SEGMENT_SIZE, so what a consumer builds per window
+    stays window-sized either way: views of a PrimeSeq, sequential reads of
+    a PrimeFile.
     """
     if cache is not None and cache.limit >= hi:
         seg = DEFAULT_SEGMENT_SIZE
-        arr = cache.primes
-        a = int(np.searchsorted(arr, lo, side="right"))
+        a = cache._upto(lo)
         for end in range(lo + seg, hi + seg, seg):
-            b = int(np.searchsorted(arr, min(end, hi), side="right"))
+            b = cache._upto(min(end, hi))
             if b > a:
-                yield arr[a:b]
+                yield cache._entries(a, b)
             a = b
         return
     yield from iter_prime_segments(lo, hi)
@@ -308,13 +375,17 @@ def primes_up_to(limit: int) -> PrimeSeq:
     """Materialize all primes <= limit.
 
     Mind the memory: the result holds pi(limit) int64 values even though the
-    sieving itself is windowed.
+    sieving itself is windowed.  It holds them once: one array grows in
+    place (realloc) by each window, with no list of windows to concatenate.
     """
     limit = int(limit)
     if limit < 0:
         raise ValueError("limit must be >= 0")
-    chunks = list(iter_prime_segments(1, limit))
-    primes = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+    primes = np.empty(0, dtype=np.int64)
+    for seg in iter_prime_segments(1, limit):
+        n = primes.size
+        primes.resize(n + seg.size, refcheck=False)
+        primes[n:] = seg
     return PrimeSeq(limit=limit, primes=primes)
 
 
@@ -333,23 +404,23 @@ def _last_primes(cur: int, flags: np.ndarray, m: int) -> list[int]:
 
 
 def prime_summary(
-    limit: int, ends: int, *, cache: Optional[PrimeSeq] = None
+    limit: int, ends: int, *, cache: Optional[PrimeSeq | PrimeFile] = None
 ) -> tuple[int, list[int], list[int]]:
     """pi(limit) with the first and the last `ends` primes <= limit.
 
     One pass over (1, limit] counts every window (count_nonzero).  It builds
     the primes of a window only while the head is short of `ends`, and takes
     the tail from the last `ends` primes of each window, found by a short
-    search back from its end.  A cache that covers limit is read with one
-    searchsorted instead.
+    search back from its end.  A cache that covers limit is read instead:
+    the count by one binary search, the head and the tail by two short reads.
     """
     limit = int(limit)
     if limit < 0:
         raise ValueError("limit must be >= 0")
     if cache is not None and cache.limit >= limit:
-        arr = cache.primes
-        count = int(np.searchsorted(arr, limit, side="right"))
-        return count, arr[: min(ends, count)].tolist(), arr[max(0, count - ends) : count].tolist()
+        count = cache._upto(limit)
+        head = cache._entries(0, min(ends, count))
+        return count, head.tolist(), cache._entries(max(0, count - ends), count).tolist()
     count, head, tail = 0, [], []
     for cur, k, buf in _marked_windows(1, limit):
         n = int(np.count_nonzero(buf[:k]))
@@ -361,10 +432,10 @@ def prime_summary(
     return count, head, tail
 
 
-def prime_count(x: int, *, cache: Optional[PrimeSeq] = None) -> int:
+def prime_count(x: int, *, cache: Optional[PrimeSeq | PrimeFile] = None) -> int:
     """Exact number of primes <= x, counted without building them: the sum
-    of count_nonzero over the marked windows of (1, x], or one searchsorted
-    on a cache that covers x."""
+    of count_nonzero over the marked windows of (1, x], or one search of a
+    cache that covers x."""
     return prime_summary(x, 0, cache=cache)[0]
 
 
@@ -449,7 +520,7 @@ def interval_primes(x: int, y: int) -> IntervalPrimes:
     )
 
 
-def max_gap_up_to(limit: int, *, cache: Optional[PrimeSeq] = None) -> GapRecord:
+def max_gap_up_to(limit: int, *, cache: Optional[PrimeSeq | PrimeFile] = None) -> GapRecord:
     """Largest consecutive-prime gap with both primes <= limit."""
     limit = int(limit)
     if limit < 3:
@@ -496,78 +567,112 @@ def twin_pairs_in(x: int, y: int) -> list[tuple[int, int]]:
     return [(p, p + 2) for p in lower]
 
 
-def save_cache(ps: PrimeSeq, path: str) -> None:
-    """Write a PrimeSeq as a TPC1 cache file (atomic replace)."""
-    payload = ps.primes.astype("<u8").tobytes()
-    header = (
-        CACHE_MAGIC
-        + bytes([CACHE_VERSION])
-        + _CACHE_HEADER.pack(ps.limit, ps.primes.size)
-    )
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
-    os.replace(tmp, path)
+def save_cache(ps: PrimeSeq | int, path: str) -> PrimeFile:
+    """Write a TPC1 cache file (atomic replace) and return a handle on it.
 
-
-def load_cache(path: str) -> PrimeSeq:
-    """Read and validate a TPC1 cache file.
-
-    Checks magic, version, payload size against the recorded count, strict
-    monotonicity, that no entry exceeds the recorded limit, and the content
-    of the first and the last DEFAULT_SEGMENT_SIZE window of (1, limit]: both
-    are sieved again and must equal the stored entries.  A prime missing or
-    added in between is not seen; a whole-file check against an independent
-    prime count is still open (ROADMAP, item 2).  Any failure raises
-    CacheFormatError so the caller can rebuild.
+    Given a PrimeSeq, its array is written as it is, checked or not (tests
+    write doctored files this way).  Given a limit, the primes up to it are
+    sieved and written window by window, so the build holds one window of
+    primes, not all of them.  The header goes first with count 0 and is
+    patched once the count is known; the file is then renamed into place.
+    On any exception, interrupts included, the temporary file is removed,
+    so a failed build leaves neither it nor a partial cache at `path`.
     """
-    head = len(CACHE_MAGIC) + 1 + _CACHE_HEADER.size
+    if isinstance(ps, PrimeSeq):
+        limit, windows = ps.limit, [ps.primes]
+    else:
+        limit = int(ps)
+        if limit < 0:
+            raise ValueError("limit must be >= 0")
+        windows = iter_prime_segments(1, limit)
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CACHE_MAGIC + bytes([CACHE_VERSION]) + _CACHE_HEADER.pack(limit, 0))
+            count = 0
+            for w in windows:
+                w.astype("<u8", copy=False).tofile(fh)
+                count += w.size
+            fh.seek(len(CACHE_MAGIC) + 1)
+            fh.write(_CACHE_HEADER.pack(limit, count))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+    return PrimeFile(path=path, limit=limit, count=count)
+
+
+def _check_entries(fh, count: int, limit: int) -> None:
+    """Check that the next `count` entries of an open cache file increase
+    strictly and lie in (1, limit], reading them into one buffer of
+    _CACHE_BLOCK entries.  Read as int64, a u64 entry past 2^63 turns
+    negative, which the check from 1 upwards rejects too."""
+    last = 1
+    buf = np.empty(min(_CACHE_BLOCK, count), dtype=np.int64)
+    for a in range(0, count, _CACHE_BLOCK):
+        block = _read_entries(fh, buf[: count - a])
+        if int(block[0]) <= last or np.any(block[1:] <= block[:-1]) or int(block[-1]) > limit:
+            raise CacheFormatError("cache primes not strictly increasing within limit")
+        last = int(block[-1])
+
+
+def load_cache(path: str) -> PrimeFile:
+    """Validate a TPC1 cache file and return a handle on it.
+
+    One pass reads the file into one buffer of _CACHE_BLOCK entries, so it
+    takes one block of memory whatever the size of the file.  It checks magic,
+    version, payload size against the recorded count, strict monotonicity
+    within each block and across block boundaries, and that every entry
+    lies in (1, limit].  Then the content of the first and the last
+    DEFAULT_SEGMENT_SIZE window of (1, limit] is checked: both are sieved
+    again and must equal the stored entries.  A prime missing or added in
+    between is not seen; a whole-file check against an independent prime
+    count is still open (ROADMAP, item 2), and this pass is where it goes.
+    Any failure raises CacheFormatError so the caller can rebuild.
+    """
     with open(path, "rb") as fh:
-        blob = fh.read(head)
-        if len(blob) < head:
+        blob = fh.read(_CACHE_HEAD)
+        if len(blob) < _CACHE_HEAD:
             raise CacheFormatError("cache file truncated")
         if blob[: len(CACHE_MAGIC)] != CACHE_MAGIC:
             raise CacheFormatError("bad cache magic")
         if blob[len(CACHE_MAGIC)] != CACHE_VERSION:
             raise CacheFormatError(f"unsupported cache version {blob[len(CACHE_MAGIC)]}")
         limit, count = _CACHE_HEADER.unpack_from(blob, len(CACHE_MAGIC) + 1)
-        if os.fstat(fh.fileno()).st_size - head != 8 * count:
+        if os.fstat(fh.fileno()).st_size - _CACHE_HEAD != 8 * count:
             raise CacheFormatError("cache payload size does not match recorded count")
-        raw = np.fromfile(fh, dtype="<u8", count=count)
-    if raw.size and (np.any(raw[1:] <= raw[:-1]) or int(raw[-1]) > limit):
-        raise CacheFormatError("cache primes not strictly increasing within limit")
+        _check_entries(fh, count, limit)
     if limit > MAX_SIEVE_LIMIT:
         raise CacheFormatError(f"cache limit {limit} exceeds {MAX_SIEVE_LIMIT}")
-    primes = raw.view("<i8")
+    pf = PrimeFile(path=path, limit=int(limit), count=int(count))
     seg = DEFAULT_SEGMENT_SIZE
     for lo, hi in {(1, min(limit, 1 + seg)), (max(1, limit - seg), limit)}:
-        a, b = np.searchsorted(primes, [lo, hi], side="right")
-        sieved = list(iter_prime_segments(lo, hi))
-        if not np.array_equal(primes[a:b], np.concatenate([np.empty(0, np.int64), *sieved])):
+        stored = pf._entries(pf._upto(lo), pf._upto(hi))
+        sieved = np.concatenate([np.empty(0, np.int64), *iter_prime_segments(lo, hi)])
+        if not np.array_equal(stored, sieved):
             raise CacheFormatError(f"cache primes in ({lo}, {hi}] differ from a fresh sieve")
-    return PrimeSeq(limit=int(limit), primes=primes)
+    return pf
 
 
-def cached_primes_up_to(limit: int, path: str) -> PrimeSeq:
-    """Primes up to `limit` backed by a cache file.
+def cached_primes_up_to(limit: int, path: str) -> PrimeFile:
+    """Primes up to `limit` backed by a cache file, as a handle on it.
 
-    A valid cache with a limit at least as large serves a prefix view; anything
-    else (missing, corrupt, too small) is rebuilt and rewritten.  A file that
-    load_cache rejects is reported with a RuntimeWarning, naming the path and
-    the reason, before it is replaced; a missing or too small one is not.
+    A valid cache with a limit at least as large serves a prefix: a handle
+    on its entries <= limit.  Anything else (missing, corrupt, too small)
+    is sieved and written again window by window (save_cache), so neither
+    the read nor the rebuild holds every prime.  A file that load_cache
+    rejects is reported with a RuntimeWarning, naming the path and the
+    reason, before it is replaced; a missing or too small one is not.
     """
     limit = int(limit)
     try:
-        ps = load_cache(path)
+        pf = load_cache(path)
     except FileNotFoundError:
-        ps = None
+        pf = None
     except CacheFormatError as exc:
         warnings.warn(f"rebuilding prime cache {path}: {exc}", RuntimeWarning, stacklevel=2)
-        ps = None
-    if ps is not None and ps.limit >= limit:
-        cut = int(np.searchsorted(ps.primes, limit, side="right"))
-        return PrimeSeq(limit=limit, primes=ps.primes[:cut])
-    fresh = primes_up_to(limit)
-    save_cache(fresh, path)
-    return fresh
+        pf = None
+    if pf is not None and pf.limit >= limit:
+        return PrimeFile(path=path, limit=limit, count=pf._upto(limit))
+    return save_cache(limit, path)

@@ -9,6 +9,7 @@ import os
 import random
 import re
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -44,6 +45,18 @@ def test_primes_up_to_100_against_trial_division():
 
 def test_primes_up_to_10000_against_trial_division():
     assert sieve.primes_up_to(10_000).primes.tolist() == oracle.primes_upto(10_000)
+
+
+def test_primes_up_to_holds_its_primes_once():
+    sieve.primes_up_to(10**5)   # the base table and first-call set-up outside the trace
+    tracemalloc.start()
+    try:
+        ps = sieve.primes_up_to(2 * 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ps.primes.size == 1_270_607
+    assert peak <= 1.25 * ps.primes.nbytes
 
 
 def test_prime_seq_dtype_and_limit():
@@ -240,13 +253,18 @@ def test_twin_pairs_random_sweep():
 # cache format
 
 
+def _stored(cache):
+    """The primes a cache handle serves, read back through prime_stream."""
+    return [p for seg in sieve.prime_stream(cache.limit, cache=cache) for p in seg.tolist()]
+
+
 def test_cache_roundtrip(tmp_path):
     path = str(tmp_path / "p.tpc")
     ps = sieve.primes_up_to(1_000)
     sieve.save_cache(ps, path)
     back = sieve.load_cache(path)
     assert back.limit == 1_000
-    assert np.array_equal(back.primes, ps.primes)
+    assert np.array_equal(_stored(back), ps.primes)
 
 
 def test_cache_header_layout(tmp_path):
@@ -306,7 +324,7 @@ def test_cached_primes_builds_then_reuses(tmp_path):
     stamp = os.stat(path).st_mtime_ns
     again = sieve.cached_primes_up_to(1_000, path)
     assert os.stat(path).st_mtime_ns == stamp  # untouched on reuse
-    assert np.array_equal(first.primes, again.primes)
+    assert np.array_equal(_stored(first), _stored(again))
 
 
 def test_cached_primes_serves_prefix_without_rewrite(tmp_path):
@@ -315,7 +333,7 @@ def test_cached_primes_serves_prefix_without_rewrite(tmp_path):
     stamp = os.stat(path).st_mtime_ns
     small = sieve.cached_primes_up_to(500, path)
     assert os.stat(path).st_mtime_ns == stamp
-    assert small.primes.tolist() == oracle.primes_upto(500)
+    assert _stored(small) == oracle.primes_upto(500)
     assert small.limit == 500
 
 
@@ -323,14 +341,13 @@ def test_cache_served_as_segment_views(tmp_path, monkeypatch):
     path = str(tmp_path / "p.tpc")
     sieve.save_cache(sieve.primes_up_to(10_000), path)
     ps = sieve.load_cache(path)
-    assert ps.primes.dtype == np.int64 and not ps.primes.flags.owndata
     small = sieve.cached_primes_up_to(5_000, path)
-    assert not small.primes.flags.owndata          # a prefix view, not a copy
-    assert small.primes.tolist() == oracle.primes_upto(5_000)
+    assert (small.path, small.count) == (path, 669)   # a prefix of the same file
+    assert _stored(small) == oracle.primes_upto(5_000)
     for lo, hi, seg in [(1, 10_000, 16), (100, 9_000, 1000), (7, 8, 16), (1, 10_000, 1 << 21)]:
         monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", seg)
         views = list(sieve.prime_stream(hi, lo=lo, cache=ps))
-        assert all(v.size and np.shares_memory(v, ps.primes) for v in views)
+        assert all(v.size and v.dtype == np.int64 for v in views)
         assert all(v[-1] - v[0] < seg for v in views)
         assert np.concatenate(views or [[]]).tolist() == oracle.primes_upto(hi)[
             len(oracle.primes_upto(lo)):
@@ -343,7 +360,7 @@ def test_cached_primes_rebuilds_when_too_small(tmp_path):
         warnings.simplefilter("error")     # first use and a too small file are silent
         sieve.cached_primes_up_to(100, path)
         big = sieve.cached_primes_up_to(1_000, path)
-    assert big.primes.tolist() == oracle.primes_upto(1_000)
+    assert _stored(big) == oracle.primes_upto(1_000)
     assert sieve.load_cache(path).limit == 1_000
 
 
@@ -353,7 +370,7 @@ def test_cached_primes_rebuilds_corrupt_file(tmp_path):
         fh.write(b"garbage that is definitely not a prime cache")
     with pytest.warns(RuntimeWarning, match=re.escape(f"{path}: bad cache magic")):
         ps = sieve.cached_primes_up_to(200, path)
-    assert ps.primes.tolist() == oracle.primes_upto(200)
+    assert _stored(ps) == oracle.primes_upto(200)
     assert sieve.load_cache(path).limit == 200  # file replaced with a valid one
 
 
@@ -367,7 +384,7 @@ def test_cache_with_a_prime_missing_is_rejected_and_rebuilt(tmp_path):
     with pytest.warns(RuntimeWarning, match=reason):
         ps = sieve.cached_primes_up_to(100, path)
     assert sieve.prime_count(100, cache=ps) == 25
-    assert sieve.load_cache(path).primes.tolist() == oracle.primes_upto(100)
+    assert _stored(sieve.load_cache(path)) == oracle.primes_upto(100)
 
 
 @pytest.mark.parametrize("where", ["first", "last"])
@@ -394,3 +411,109 @@ def test_cache_limit_past_the_cap_is_rejected(tmp_path):
     _write_raw(path, limit=sieve.MAX_SIEVE_LIMIT + 1)
     with pytest.raises(CacheFormatError, match="exceeds"):
         sieve.load_cache(path)
+
+
+def test_cache_entries_below_2_are_rejected(tmp_path):
+    path = str(tmp_path / "p.tpc")
+    for head in ([1], [0], [0, 1]):
+        _write_raw(path, primes=head + [2, 3, 5, 7])
+        with pytest.raises(CacheFormatError, match="strictly increasing"):
+            sieve.load_cache(path)
+
+
+@pytest.mark.parametrize("fault", ["swap", "repeat"])
+def test_cache_decrease_across_a_read_block_is_rejected(tmp_path, fault):
+    # the file is validated in blocks of _CACHE_BLOCK entries; entries b - 1
+    # and b sit on the two sides of the first boundary, each block is
+    # increasing on its own, and the message is the monotonicity check's,
+    # not the re-sieve's that would catch the fault too
+    b = sieve._CACHE_BLOCK
+    primes = sieve.primes_up_to(8 * 10**6).primes
+    assert primes.size > b + 1
+    bad = primes.copy()
+    if fault == "swap":
+        bad[b - 1], bad[b] = primes[b], primes[b - 1]
+    else:
+        bad[b] = primes[b - 1]
+    path = str(tmp_path / "p.tpc")
+    sieve.save_cache(sieve.PrimeSeq(limit=8 * 10**6, primes=bad), path)
+    with pytest.raises(CacheFormatError, match="strictly increasing"):
+        sieve.load_cache(path)
+
+
+def test_cache_truncated_after_validation_fails_the_next_read(tmp_path):
+    path = str(tmp_path / "p.tpc")
+    sieve.save_cache(sieve.primes_up_to(10_000), path)
+    ps = sieve.load_cache(path)
+    os.truncate(path, 21 + 8 * 100)
+    with pytest.raises(CacheFormatError, match="truncated"):
+        list(sieve.prime_stream(10_000, cache=ps))
+    with pytest.raises(CacheFormatError, match="truncated"):
+        sieve.prime_summary(10_000, 10, cache=ps)
+
+
+@pytest.mark.parametrize("segment_size", [16, 1000, 1 << 21])
+@pytest.mark.parametrize("limit", [0, 1, 2, 3, 1000, 10**5])
+def test_built_cache_is_the_file_of_the_materialized_primes(tmp_path, monkeypatch, segment_size, limit):
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", segment_size)
+    built, whole = str(tmp_path / "built.tpc"), str(tmp_path / "whole.tpc")
+    pf = sieve.cached_primes_up_to(limit, built)
+    ps = sieve.primes_up_to(limit)
+    sieve.save_cache(ps, whole)
+    assert open(built, "rb").read() == open(whole, "rb").read()
+    assert (pf.path, pf.limit, pf.count) == (built, limit, ps.primes.size)
+    assert sieve.load_cache(built) == pf       # an empty file loads too
+    assert sorted(os.listdir(tmp_path)) == ["built.tpc", "whole.tpc"]
+
+
+def _interrupted_sieve(lo, hi, **kwargs):
+    yield np.array([2, 3, 5, 7], dtype=np.int64)
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("failure", ["capacity", "interrupt"])
+def test_failed_build_leaves_no_file(tmp_path, monkeypatch, failure):
+    path = str(tmp_path / "p.tpc")
+    if failure == "capacity":
+        with pytest.raises(CapacityError):
+            sieve.cached_primes_up_to(sieve.MAX_SIEVE_LIMIT + 1, path)
+    else:
+        monkeypatch.setattr(sieve, "iter_prime_segments", _interrupted_sieve)
+        with pytest.raises(KeyboardInterrupt):
+            sieve.cached_primes_up_to(1_000, path)
+    assert os.listdir(tmp_path) == []
+
+
+def test_failed_rebuild_keeps_the_old_cache(tmp_path, monkeypatch):
+    path = str(tmp_path / "p.tpc")
+    sieve.cached_primes_up_to(100, path)
+    before = open(path, "rb").read()
+    monkeypatch.setattr(sieve, "iter_prime_segments", _interrupted_sieve)
+    with pytest.raises(KeyboardInterrupt):
+        sieve.cached_primes_up_to(1_000, path)
+    assert os.listdir(tmp_path) == ["p.tpc"]
+    assert open(path, "rb").read() == before
+
+
+def test_cache_build_and_reads_hold_a_fraction_of_the_payload(tmp_path):
+    # 5e7: 3,001,134 primes, a 24.0 MB payload.  Building, validating and
+    # serving the file each stay under a quarter of it.
+    limit, count = 5 * 10**7, 3_001_134
+    path = str(tmp_path / "p.tpc")
+    sieve.primes_up_to(10**5)   # the base table and first-call set-up outside the trace
+    tracemalloc.start()
+    try:
+        built = sieve.cached_primes_up_to(limit, path)
+        peaks = [tracemalloc.get_traced_memory()[1]]
+        tracemalloc.reset_peak()
+        ps = sieve.cached_primes_up_to(limit, path)
+        served = sum(seg.size for seg in sieve.prime_stream(limit, cache=ps))
+        summary = sieve.prime_summary(limit, 10, cache=ps)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    payload = os.path.getsize(path) - 21
+    assert payload == 8 * count
+    assert built == ps and (ps.count, served, summary[0]) == (count, count, count)
+    assert summary[1][:3] == [2, 3, 5] and summary[2][-1] == 49_999_991
+    assert max(peaks) < payload / 4, peaks
