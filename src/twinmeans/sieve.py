@@ -74,10 +74,11 @@ _CACHE_HEAD = len(CACHE_MAGIC) + 1 + _CACHE_HEADER.size   # payload offset, 21
 # Entries per read while load_cache validates a file: 4 MiB.  Freeing a
 # block this size also spares the window reads that follow from faulting
 # in fresh pages: glibc raises its mmap threshold to the largest block
-# freed and trims the heap only past twice that, so the ~1 MB windows and
-# their consumers' temporaries then reuse the heap.  A cached mertens at
-# 1e8 takes 8.7K minor faults with 4 MiB blocks, 33K with 1 MiB blocks
-# (7K when the whole file was loaded).
+# freed and trims the heap only past twice that, so the ~1 MB windows read
+# from the file then reuse the heap.  In process, load_cache plus
+# mertens_report(1e8, 1e8) from the cache takes 1.8K minor faults and
+# peaks at 34.8 MB with 4 MiB blocks; 1 MiB blocks save 1 MB of peak but
+# take 2.7K faults.
 _CACHE_BLOCK = 1 << 19
 
 

@@ -1,10 +1,12 @@
 """The exact accumulator: ExactSum gives the bits of one math.fsum over all
 its terms, however they are batched, folded or spread over the exponent
-range, and the prime sums built on it do not depend on the segment size.
+range, and the prime sums built on it do not depend on the segment size or
+the block size, and hold a fixed buffer beyond the sieve window.
 """
 
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +45,8 @@ def test_exact_sum_matches_fsum_in_any_batches(terms, cuts, fold_at):
     edges = sorted({0, len(terms), *(c for c in cuts if c < len(terms))})
     for a, b in zip(edges, edges[1:]):
         acc.add(np.array(terms[a:b]))
+        # reading the value mid-stream leaves the state alone
+        assert bits(acc.value) == bits(math.fsum(terms[:b]))
     assert bits(acc.value) == want
 
 
@@ -199,15 +203,21 @@ def primes_1e6():
     return sieve.primes_up_to(10**6)
 
 
-def test_prime_sums_equal_fsum_over_all_terms(primes_1e6):
-    p = primes_1e6.primes
-    odd = p[1:]
+def fsum_sums(p: np.ndarray) -> dict[str, float]:
+    """The four prime sums over the primes p, each one math.fsum of its terms."""
+    odd = p[p > 2]
     a = 1.0 / p
+    return {
+        "recip": math.fsum(a),
+        "M": math.fsum(np.log1p(-a) + a),
+        "C": math.fsum(np.log1p(-2.0 / odd) + 2.0 / odd),
+        "twin": math.fsum(np.log1p(-2.0 / odd)),
+    }
+
+
+def test_prime_sums_equal_fsum_over_all_terms(primes_1e6):
     sums = analytic.prime_sums({"recip": 10**6, "M": 10**6, "C": 10**6, "twin": 10**6})
-    assert sums["recip"] == math.fsum(a)
-    assert sums["M"] == math.fsum(np.log1p(-a) + a)
-    assert sums["C"] == math.fsum(np.log1p(-2.0 / odd) + 2.0 / odd)
-    assert sums["twin"] == math.fsum(np.log1p(-2.0 / odd))
+    assert sums == fsum_sums(primes_1e6.primes)
 
 
 def test_prime_sums_each_stop_at_their_own_limit(monkeypatch):
@@ -225,6 +235,51 @@ def test_prime_sums_reject_unknown_names_and_small_limits():
         analytic.prime_sums({"pi": 10})
     with pytest.raises(ValueError, match="need cutoff >= 3"):
         analytic.prime_sums({"recip": 100, "C": 2})
+    with pytest.raises(ValueError, match="no prime sum asked for"):
+        analytic.prime_sums({})
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["uncached", "cached"])
+@pytest.mark.parametrize("block", [1, 7, 1 << 10, 1 << 14])
+def test_prime_sums_do_not_depend_on_block_size(primes_1e6, monkeypatch, block, cached):
+    p = primes_1e6.primes
+    # the last prime of the third block, and the first of the fourth
+    last, first = int(p[3 * block - 1]), int(p[3 * block])
+    top = 10**6 if block > 1 else 10**4   # 78,498 one-prime blocks to 1e6 take ~8 s a pass
+    oracle = {x: fsum_sums(p[p <= x]) for x in (top, last, first, first - 1)}
+    cases = [dict.fromkeys(analytic.PRIME_SUMS, x) for x in oracle]
+    cases.append({"recip": last, "M": first, "C": first - 1, "twin": top})
+    want = [analytic.prime_sums(limits) for limits in cases]
+    monkeypatch.setattr(analytic, "_BLOCK", block)
+    for limits, default in zip(cases, want):
+        got = analytic.prime_sums(limits, cache=primes_1e6 if cached else None)
+        assert got == default
+        assert got == {name: oracle[x][name] for name, x in limits.items()}
+
+
+def test_prime_sums_hold_a_fixed_buffer_above_the_stream():
+    x = 2 * 10**7
+
+    def stream():
+        for seg in sieve.prime_stream(x):
+            pass
+
+    def peak(run) -> int:
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    stream()   # the sieve's base primes are kept between calls: build them untraced
+    base = peak(stream)
+    for run in (
+        lambda: analytic.mertens_report(x, x),
+        lambda: analytic.compute_constants(x),
+        lambda: analytic.lemma1_report(x, x),
+    ):
+        assert peak(run) - base <= 1 << 20
 
 
 def test_reports_equal_the_two_step_checks():
