@@ -4,10 +4,10 @@ estimates and residual checks against the predicted main terms.
 Every reduction is exact: ExactSum returns the correctly rounded sum of all
 its float terms, the same bits as one math.fsum over them, however the terms
 arrive in segments.  The prime sums of a command come from one sieve pass
-(prime_sums), reduced in blocks of at most _BLOCK primes through term
-buffers made once per call, so they hold a fixed buffer beyond the sieve
-window.  Products are evaluated as sums of log1p terms so near-1 factors
-lose no precision.
+(prime_sums), reduced in blocks of at most sieve._BLOCK primes through
+term buffers made once per call, so they hold a fixed buffer beyond the
+sieve window.  Products are evaluated as sums of log1p terms so near-1
+factors lose no precision.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
+from . import sieve
 from .errors import EmptySetError
 from .sieve import IntervalPrimes, PrimeFile, PrimeSeq, prime_stream
 
@@ -49,14 +50,6 @@ _SPLIT = 1.5 * np.ldexp(1.0, np.maximum(np.arange(_BIG_BE), 1) - 1023 + 27)
 _FOLD_AT = 1 << 26   # terms the buckets take between folds, half the exact limit
 _CHUNK = 1 << 16     # terms split at a time, so the temporaries stay small
 _PARTS_AT = 1 << 8   # exact parts kept before they go back through the buckets
-# Primes per block of prime_sums: it fills four term buffers of this many
-# floats (128 KB each), made once per call.  Window-sized temporaries made
-# per window had glibc trim and refault the heap: in process,
-# mertens_report(1e8, 1e8) took 26.8K minor faults and peaked 3.9 MB higher
-# than with blocks (1.5K faults).  lemma1_report(1e8, 1e8) took 0.290 s with
-# 2^13, 0.268 s with 2^14 and 0.270 s with 2^16, and 2^16 peaked 1.3-2.4 MB
-# higher (medians of 7; 2 cores, numpy 2.4, Python 3.11).
-_BLOCK = 1 << 14
 
 
 def _biased_exponent(a: float) -> int:
@@ -79,8 +72,8 @@ class ExactSum:
     math.fsum rounds the parts and buckets once at the end.  A chunk split
     once takes one temporary of its size (|v|, then overwritten by hi and
     lo), and the instance keeps no scratch buffer between calls:
-    IntervalProduct feeds whole windows, so a kept buffer would be
-    window-sized per sum.  Reading value leaves the state alone, so it can
+    log_t_product feeds a whole interval, so a kept buffer would be
+    interval-sized per sum.  Reading value leaves the state alone, so it can
     be read between adds.
     """
 
@@ -212,7 +205,7 @@ def prime_sums(
 
     `limits` maps names of PRIME_SUMS to their limits; the primes are
     streamed once, to the largest, and each window is reduced in blocks of
-    at most _BLOCK primes.  The terms of a block are written into four
+    at most sieve._BLOCK primes.  The terms of a block are written into four
     buffers allocated once per call: 1/p, which all the terms share, the M
     or C terms, 2/p and log1p(-2/p), which the C and twin terms share.
     Each sum is the correctly rounded sum of its float terms, so neither
@@ -228,10 +221,10 @@ def prime_sums(
         if x < least:
             raise ValueError(f"need {what} >= {least}")
     acc = {name: ExactSum() for name in lim}
-    inv, terms, two_inv, log_a = (np.empty(_BLOCK) for _ in range(4))
+    inv, terms, two_inv, log_a = (np.empty(sieve._BLOCK) for _ in range(4))
     for seg in prime_stream(max(lim.values()), cache=cache):
-        for i in range(0, seg.size, _BLOCK):
-            blk = seg[i : i + _BLOCK]
+        for i in range(0, seg.size, inv.size):
+            blk = seg[i : i + inv.size]
             n = {name: _count_upto(blk, x) for name, x in lim.items()}
             k = max(n.values())
             a = np.divide(1.0, blk[:k], out=inv[:k])
@@ -401,13 +394,13 @@ def lemma1_report(
 
 
 class IntervalProduct:
-    """log T over (x, y] by the product routes in `methods`, window by window.
+    """log T over (x, y] by the product routes in `methods`, block by block.
 
-    add(primes, k) takes the primes of one window and their excesses
-    k_n = p_{n+1} - 2 - p_n, the last of which reaches into the next window.
+    add(primes, k) takes the primes of one block and their excesses
+    k_n = p_{n+1} - 2 - p_n, the last of which reaches into the next block.
     DIRECT sums log1p(k/p); TELESCOPED sums log1p(-2/p) and adds the
     boundary term of p_s, the first prime added, and p_e, the prime past y.
-    Each route has its own ExactSum, so any split into windows gives the
+    Each route has its own ExactSum, so any split into blocks gives the
     bits of one sum over the whole interval.
     """
 
@@ -440,7 +433,7 @@ def log_t_product(
     rearrangement T = ((p_s-2)/(p_e-2)) * prod_{x<p<=y} p/(p-2).  Both sum
     their own terms exactly and agree to near machine precision; the dual
     route is kept deliberately as a cross-check, do not collapse one into
-    the other.  This is IntervalProduct fed the interval as one window.
+    the other.  This is IntervalProduct fed the interval as one block.
     """
     ps = ip.primes
     if ps.size == 0:
@@ -456,7 +449,7 @@ def t_product(
     x: int, y: int, method: ProductMethod = ProductMethod.DIRECT
 ) -> float:
     """The interval ratio product T(x, y) for primes in (x, y], from one
-    pass that reduces the interval window by window (means.reduce_interval)."""
+    pass that reduces the interval block by block (means.reduce_interval)."""
     from .means import reduce_interval   # deferred: means builds on this module
 
     return math.exp(reduce_interval(x, y, (method,)).log_t(method))
@@ -486,7 +479,7 @@ def _lemma2_row(x: int, c: float, spec: BetaSpec, obs: float) -> AsymptoticCheck
 def lemma2_report(x: int, c: float) -> tuple[AsymptoticCheck, BetaSpec, float]:
     """lemma2_check(x, c), its BetaSpec, and the DIRECT product relative to
     the TELESCOPED one minus 1, from one streamed pass over the interval:
-    its primes are reduced window by window and never held whole."""
+    its primes are reduced block by block and never held whole."""
     from .means import reduce_interval   # deferred: means and verify build on this module
     from .verify import beta_for
 

@@ -2,7 +2,7 @@
 
 A ratio set is its interval primes as an int64 array plus the successor
 prime; the RatioElement objects, exact integer pairs, are made only on
-demand; reduce_interval takes one sieve window of an interval at a time,
+demand; reduce_interval takes an interval one block of primes at a time,
 so that a report's memory does not grow with the interval.  Every decision
 between ratios is exact: a float may narrow the candidates, but Python-int
 cross-multiplication settles them.  The float reductions (power means,
@@ -212,15 +212,13 @@ def reduce_interval(
     sup: bool = False,
     twins: bool = False,
 ) -> IntervalReduction:
-    """The ratio set of (x, y] reduced one sieve window at a time.
+    """The ratio set of (x, y] reduced one block at a time.
 
-    Each window of sieve.interval_windows is a RatioSet of its own, its last
-    element reaching into the next window.  From each it takes the count
-    and the log T terms of `methods`, and, when asked, the exact sup
-    (RatioSet.sup) and the twin lower primes; the overall sup is the exact
-    max of the window sups.  So the pass holds two windows of primes plus
-    the twin lower primes, and gives the same values as the materialised
-    set of interval_primes.
+    Each block of sieve.interval_windows is a RatioSet of its own, its last
+    element reaching into the next block, so every temporary is block-sized.
+    Each adds its count, the log T terms of `methods` and, when asked, its
+    exact sup and twin lower primes; the overall sup is the exact max of the
+    block sups.  Every value equals that of the whole set (interval_primes).
     """
     x, y = int(x), int(y)
     count, sups, lower = 0, [], np.empty(0, dtype=np.int64)

@@ -4,10 +4,9 @@ The criterion is decided in exact rationals: the sup of a ratio set (exact,
 see means.RatioSet) and the threshold P/(P+2) are compared as Fractions, and
 the resulting decision is required to match a brute-force twin scan of the
 same interval.  An interval report sieves its interval once and reduces it
-window by window (means.reduce_interval): count, sup, product and twin
-lower primes come from one pass that never holds more than two sieve
-windows of primes, so its memory does not grow with the interval beyond
-the twin pairs, 8 bytes each.
+block by block (means.reduce_interval): count, sup, product and twin lower
+primes come from one pass whose temporaries are block-sized, so its memory
+grows with the interval only by the twin pairs, 8 bytes each.
 """
 
 from __future__ import annotations

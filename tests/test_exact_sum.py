@@ -250,7 +250,7 @@ def test_prime_sums_do_not_depend_on_block_size(primes_1e6, monkeypatch, block, 
     cases = [dict.fromkeys(analytic.PRIME_SUMS, x) for x in oracle]
     cases.append({"recip": last, "M": first, "C": first - 1, "twin": top})
     want = [analytic.prime_sums(limits) for limits in cases]
-    monkeypatch.setattr(analytic, "_BLOCK", block)
+    monkeypatch.setattr(sieve, "_BLOCK", block)
     for limits, default in zip(cases, want):
         got = analytic.prime_sums(limits, cache=primes_1e6 if cached else None)
         assert got == default

@@ -224,6 +224,13 @@ def test_max_gap_segment_boundaries_do_not_split_gaps(monkeypatch):
     assert (rec.gap, rec.lower_prime) == oracle.max_gap(1_000)
 
 
+def test_max_gap_earliest_tie_wins_across_a_window_boundary(monkeypatch):
+    # windows of 16 integers: 23 -> 29 lies inside (17, 33], and the tying
+    # gap 31 -> 37 falls across its end
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", 16)
+    assert sieve.max_gap_up_to(37) == sieve.GapRecord(limit=37, gap=6, lower_prime=23)
+
+
 # ---------------------------------------------------------------------------
 # twin scan
 

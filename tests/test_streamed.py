@@ -1,22 +1,26 @@
 """The streamed interval reports equal the materialised ones, bit for bit.
 
-theorem1_report, lemma2_report and twin_criterion reduce (x, y] one sieve
-window at a time (means.reduce_interval over sieve.interval_windows).  The
-tests here rebuild every value from the whole interval (interval_primes,
+theorem1_report, lemma2_report and twin_criterion reduce (x, y] one block
+of at most sieve._BLOCK primes at a time, blocks never crossing a sieve
+window (means.reduce_interval over sieve.interval_windows).  The tests here
+rebuild every value from the whole interval (interval_primes,
 build_ratio_set, log_t_product) and ask for ==, not closeness, at segment
-sizes 2^12, 2^16 and 2^23, with window boundaries that fall between the
-two primes of a twin pair and intervals that fit in one window.  A
-tracemalloc bound pins the memory of the streamed report.
+sizes 2^12, 2^16 and 2^23, with window and block boundaries that fall
+between the two primes of a twin pair or of the sup element, at block
+sizes down to 1, and intervals that fit in one window.  Two tracemalloc
+bounds pin the memory of the streamed report.
 """
 
 import dataclasses
 import io
+import itertools
 import json
 import math
 import pickle
 import random
 import tracemalloc
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -29,9 +33,11 @@ from twinmeans.verify import Theorem1Row, TwinPairs
 import _oracles as oracle
 
 SEGMENT_SIZES = [2**12, 2**16, 2**23]
-# theorem1_report(1e8, 4.0) peaks at 7.1 MiB streamed (segment 2^21) and at
+# theorem1_report(1e8, 4.0) peaks at 3.8 MiB streamed in blocks (segment
+# 2^21), at 6.1 MiB when each whole window waited for the next, and at
 # 40 MiB on the materialised route; its 1,308,577 primes alone take 10 MiB.
 REPORT_1E8_PEAK_MIB = 12
+REPORT_1E8_BLOCKED_PEAK_MIB = 5
 
 
 @pytest.fixture(params=SEGMENT_SIZES)
@@ -100,12 +106,66 @@ def test_window_boundary_between_twin_primes(segment):
     p = twin_across_first_window(segment)
     x = p + 1 - segment
     bs = verify.beta_for(x, 4.0)
-    first, p_next = next(sieve.interval_windows(x, bs.y))
-    assert (int(first[-1]), p_next) == (p, p + 2)
-    assert len(first) < assert_streamed_row(x, 4.0).pi_interval
+    seen = 0
+    for block, p_next in sieve.interval_windows(x, bs.y):   # up to the first window's end
+        seen += block.size
+        if int(block[-1]) >= p:
+            break
+    assert (int(block[-1]), p_next) == (p, p + 2)
+    assert seen < assert_streamed_row(x, 4.0).pi_interval
     iv = means.reduce_interval(x, bs.y, twins=True)
     assert p in iv.twin_lower.tolist()
     assert iv.twin_lower.tolist() == [a for a, _ in sieve.twin_pairs_in(x, bs.y)]
+
+
+# (x0, y, p): the sup of (x, y] is the element of p for every x0 <= x < p.
+# Below y = 9,999,999,016 there is no twin pair, and the sup is
+# 9999998861/9999998865; below 9,999,999,100 it is the twin 9999999017.
+SPLIT_TARGETS = [
+    (9_999_998_611, 9_999_999_016, 9_999_998_861),
+    (9_999_998_611, 9_999_999_100, 9_999_999_017),
+]
+
+
+def split_kind(x: int, y: int, p: int) -> Optional[str]:
+    """Check the blocked pass over (x, y] against the whole set, and say
+    where the element of p ends: at a window's end ("window"), at a block's
+    end inside a window ("block"), or inside a block (None)."""
+    ip = sieve.interval_primes(x, y)
+    rs = means.build_ratio_set(ip)
+    iv = means.reduce_interval(x, y, tuple(ProductMethod), sup=True, twins=True)
+    assert (iv.count, iv.p_s, iv.P, iv.p_e) == (rs.primes.size, ip.p_s, ip.P, ip.p_e)
+    assert (iv.sup.num, iv.sup.den) == (rs.sup.num, rs.sup.den) and rs.sup.num == p
+    assert iv.twin_lower.tolist() == [a for a, _ in rs.twin_pairs()]
+    for m in ProductMethod:
+        assert iv.log_t(m) == analytic.log_t_product(ip, m)
+    cur = (x + 1) | 1      # the first window starts here
+
+    def window(q: int) -> int:
+        return (q - cur) // sieve.DEFAULT_SEGMENT_SIZE
+
+    blocks = list(sieve.interval_windows(x, y))
+    for b, _ in blocks:    # at most _BLOCK primes, all of one window
+        assert b.size <= sieve._BLOCK and window(int(b[0])) == window(int(b[-1]))
+    q = rs.sup.den + 2     # the prime after p
+    ends = [n for b, n in blocks if int(b[-1]) == p]
+    if not ends:
+        return None
+    assert ends == [q]
+    return "window" if window(p) < window(q) else "block"
+
+
+def test_blocks_split_twin_pairs_and_the_sup_like_the_whole_interval(monkeypatch):
+    # x moves the windows and blocks over (x, y]; every (p, block size)
+    # must see p end a window, and end a block inside a window
+    kinds = {}
+    for (x0, y, p), seg, block in itertools.product(SPLIT_TARGETS, (16, 64, 2**12), (1, 2, 3, 7)):
+        monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", seg)
+        monkeypatch.setattr(sieve, "_BLOCK", block)
+        xs = [q - 1 for q in oracle.primes_between(x0, p)] + [p + 1 - seg] * (p + 1 - seg >= x0)
+        for x in xs:
+            kinds.setdefault((p, block), set()).add(split_kind(x, y, p))
+    assert len(kinds) == 8 and all(k >= {"window", "block"} for k in kinds.values())
 
 
 def test_interval_in_one_window(monkeypatch):
@@ -197,16 +257,25 @@ def test_twin_pairs_in_carries_across_windows(monkeypatch, seg):
         assert sieve.twin_pairs_in(x, y) == oracle.twin_pairs(x, y)
 
 
-def test_theorem1_report_memory_is_bounded_by_the_windows():
+def traced_report_1e8() -> tuple[Theorem1Row, int]:
+    """theorem1_report(1e8, 4.0) and its tracemalloc peak in bytes."""
     verify.theorem1_report(10**5, 4.0)   # imports and first-call set-up outside the trace
     tracemalloc.start()
     try:
         row = verify.theorem1_report(10**8, 4.0)
-        peak = tracemalloc.get_traced_memory()[1]
+        return row, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_theorem1_report_memory_is_bounded_by_the_windows():
+    row, peak = traced_report_1e8()
     assert (row.pi_interval, len(row.twin_pairs)) == (1_308_577, 93_219)
     assert peak < REPORT_1E8_PEAK_MIB * 2**20
+
+
+def test_theorem1_report_holds_one_window_of_primes():
+    assert traced_report_1e8()[1] < REPORT_1E8_BLOCKED_PEAK_MIB * 2**20
 
 
 # ---------------------------------------------------------------------------
