@@ -9,7 +9,6 @@ import math
 import time
 
 from twinmeans import analytic, verify
-from twinmeans.analytic import ProductMethod
 
 
 def timed(label, fn):
@@ -32,25 +31,24 @@ def main():
     m_hat = consts.M
     print("\nmertens envelope (E = |sum - loglog x - M_hat|):")
     for x in (10**4, 10**6, 10**8):
-        s = timed(f"mertens_sum({x:.0e})", lambda x=x: analytic.mertens_sum(x))
+        chk, _ = timed(f"mertens_sum({x:.0e})", lambda x=x: analytic.mertens_report(x, 2))
+        s = chk.observed
         e = abs(s - math.log(math.log(x)) - m_hat)
         print(f"  x={x:<10} E={e:.6e}  E*log^2x={e * math.log(x) ** 2:.6f}")
 
     # twin-factor product envelope
     print("\ntwin-product envelope (r = |e^D log^2 x * product - 1|):")
     for x in (10**6, 10**7, 10**8):
-        tp = timed(f"twin_product({x:.0e})", lambda x=x: analytic.twin_product(x))
+        chk, _ = timed(f"twin_product({x:.0e})", lambda x=x: analytic.lemma1_report(x, 3))
+        tp = chk.observed
         r = abs(math.exp(consts.D) * math.log(x) ** 2 * tp - 1.0)
         print(f"  x={x:<10} r={r:.6e}  r*log^2x={r * math.log(x) ** 2:.6f}")
 
     # interval-product envelope
     print("\ninterval-product envelope (r = |T * x^(beta-1)/beta^2 - 1|):")
     for x in (10**6, 10**7):
-        bs = verify.beta_for(x, 1.0)
-        t = timed(
-            f"t_product({x:.0e})",
-            lambda x=x, bs=bs: analytic.t_product(x, bs.y, ProductMethod.DIRECT),
-        )
+        chk, bs, _ = timed(f"t_product({x:.0e})", lambda x=x: analytic.lemma2_report(x, 1.0))
+        t = chk.observed
         r = abs(t * math.exp((bs.beta - 1.0) * math.log(x)) / bs.beta**2 - 1.0)
         print(f"  x={x:<10} r={r:.6e}  r*log^2x={r * math.log(x) ** 2:.6f}")
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import sieve
 from .errors import EmptySetError
-from .sieve import IntervalPrimes, PrimeFile, PrimeSeq, prime_stream
+from .sieve import IntervalPrimes, PrimeFile, prime_stream
 
 if TYPE_CHECKING:
     from .verify import BetaSpec
@@ -199,7 +199,7 @@ def _count_upto(seg: np.ndarray, limit: int) -> int:
 
 
 def prime_sums(
-    limits: Mapping[str, int], *, cache: Optional[PrimeSeq | PrimeFile] = None
+    limits: Mapping[str, int], *, cache: Optional[PrimeFile] = None
 ) -> dict[str, float]:
     """Exact sums over primes, each up to its own limit, from one pass.
 
@@ -250,77 +250,38 @@ def prime_sums(
 
 
 def _m_estimate(s: float, cutoff: int) -> tuple[float, float]:
+    """M = gamma + s, s the sum of log(1 - 1/p) + 1/p over p <= cutoff, and
+    its tail radius: the dropped terms are below 1/p^2 each, so the tail is
+    bounded by 1/cutoff."""
     return EULER_GAMMA + s, 1.0 / int(cutoff)
 
 
-def _c_estimate(s: float, cutoff: int) -> tuple[float, float]:
-    return -s, 6.0 / int(cutoff)
-
-
 def _constants(s: Mapping[str, float], cutoff: int) -> ConstantsBundle:
+    """The constants from the M and C sums to `cutoff`.  C is minus the sum
+    of log(1 - 2/p) + 2/p over odd p <= cutoff; each dropped term is at most
+    6/p^2, so 6/cutoff bounds its tail.  It increases with the cutoff and
+    converges from below."""
     m_hat, m_tail = _m_estimate(s["M"], cutoff)
-    c_hat, c_tail = _c_estimate(s["C"], cutoff)
     return derived_constants(
-        m_hat, c_hat, cutoff=cutoff, tail_radius_M=m_tail, tail_radius_C=c_tail
+        m_hat, -s["C"], cutoff=cutoff, tail_radius_M=m_tail, tail_radius_C=6.0 / int(cutoff)
     )
 
 
-def mertens_sum(x: int, *, cache: Optional[PrimeSeq | PrimeFile] = None) -> float:
-    """Correctly rounded sum of 1/p over primes p <= x."""
-    return prime_sums({"recip": x}, cache=cache)["recip"]
-
-
-def _mertens_row(x: int, obs: float, m_const: float) -> AsymptoticCheck:
-    pred = math.log(math.log(x)) + m_const
+def mertens_report(
+    x: int, cutoff: int, *, cache: Optional[PrimeFile] = None
+) -> tuple[AsymptoticCheck, float]:
+    """The sum of 1/p over p <= x against log log x + M, its residual scaled
+    by log^2 x, and that M, estimated at `cutoff`: one pass to max(x, cutoff)."""
+    s = prime_sums({"recip": x, "M": cutoff}, cache=cache)
+    m_hat, _ = _m_estimate(s["M"], cutoff)
+    obs, pred = s["recip"], math.log(math.log(x)) + m_hat
     return AsymptoticCheck(
         x=int(x),
         observed=obs,
         predicted=pred,
         scaled_residual=(obs - pred) * math.log(x) ** 2,
         scale_note="(observed - predicted) * log^2 x; expected bounded",
-    )
-
-
-def mertens_check(
-    x: int, m_const: float, *, cache: Optional[PrimeSeq | PrimeFile] = None
-) -> AsymptoticCheck:
-    """Mertens sum against log log x + M; residual scaled by log^2 x."""
-    return _mertens_row(x, mertens_sum(x, cache=cache), m_const)
-
-
-def mertens_report(
-    x: int, cutoff: int, *, cache: Optional[PrimeSeq | PrimeFile] = None
-) -> tuple[AsymptoticCheck, float]:
-    """mertens_check(x, M) with M = estimate_M(cutoff), and that M, from
-    one pass to max(x, cutoff)."""
-    s = prime_sums({"recip": x, "M": cutoff}, cache=cache)
-    m_hat, _ = _m_estimate(s["M"], cutoff)
-    return _mertens_row(x, s["recip"], m_hat), m_hat
-
-
-def estimate_C(
-    cutoff: int, *, cache: Optional[PrimeSeq | PrimeFile] = None
-) -> tuple[float, float]:
-    """Partial sum of -(log(1 - 2/p) + 2/p) over odd primes p <= cutoff.
-
-    Returns (estimate, tail_radius).  Each dropped term is at most 6/p^2,
-    so the integral bound 6/cutoff covers the tail.  The estimate increases
-    with the cutoff and converges from below.
-    """
-    s = prime_sums({"C": cutoff}, cache=cache)["C"]
-    return _c_estimate(s, cutoff)
-
-
-def estimate_M(
-    cutoff: int, *, cache: Optional[PrimeSeq | PrimeFile] = None
-) -> tuple[float, float]:
-    """Meissel-Mertens constant via gamma + sum_{p<=cutoff} (log(1-1/p) + 1/p).
-
-    Returns (estimate, tail_radius); dropped terms are below 1/p^2 each, so
-    the tail is bounded by 1/cutoff.
-    """
-    s = prime_sums({"M": cutoff}, cache=cache)["M"]
-    return _m_estimate(s, cutoff)
+    ), m_hat
 
 
 def derived_constants(
@@ -348,49 +309,29 @@ def derived_constants(
 
 
 def compute_constants(
-    cutoff: int, *, cache: Optional[PrimeSeq | PrimeFile] = None
+    cutoff: int, *, cache: Optional[PrimeFile] = None
 ) -> ConstantsBundle:
     """Estimate M and C at one cutoff, in one pass, and derive D', D."""
     s = prime_sums({"M": cutoff, "C": cutoff}, cache=cache)
     return _constants(s, cutoff)
 
 
-def twin_product(x: int, *, cache: Optional[PrimeSeq | PrimeFile] = None) -> float:
-    """(1/2) * product over odd primes p <= x of (1 - 2/p)."""
-    s = prime_sums({"twin": x}, cache=cache)["twin"]
-    return _twin_product(s)
-
-
-def _twin_product(s: float) -> float:
-    return 0.5 * math.exp(s)
-
-
-def _lemma1_row(x: int, obs: float, consts: ConstantsBundle) -> AsymptoticCheck:
-    pred = math.exp(-consts.D) / math.log(x) ** 2
+def lemma1_report(
+    x: int, cutoff: int, *, cache: Optional[PrimeFile] = None
+) -> tuple[AsymptoticCheck, ConstantsBundle]:
+    """The twin-factor product (1/2) prod_{2<p<=x} (1 - 2/p) against its
+    predicted decay exp(-D)/log^2 x, and the constants, estimated at
+    `cutoff`, that give D: one pass to max(x, cutoff)."""
+    s = prime_sums({"M": cutoff, "C": cutoff, "twin": x}, cache=cache)
+    consts = _constants(s, cutoff)
+    obs, pred = 0.5 * math.exp(s["twin"]), math.exp(-consts.D) / math.log(x) ** 2
     return AsymptoticCheck(
         x=int(x),
         observed=obs,
         predicted=pred,
         scaled_residual=obs / pred - 1.0,
         scale_note="observed/predicted - 1; expected O(1/log^2 x)",
-    )
-
-
-def lemma1_check(
-    x: int, consts: ConstantsBundle, *, cache: Optional[PrimeSeq | PrimeFile] = None
-) -> AsymptoticCheck:
-    """Twin-factor product against its predicted decay exp(-D)/log^2 x."""
-    return _lemma1_row(x, twin_product(x, cache=cache), consts)
-
-
-def lemma1_report(
-    x: int, cutoff: int, *, cache: Optional[PrimeSeq | PrimeFile] = None
-) -> tuple[AsymptoticCheck, ConstantsBundle]:
-    """lemma1_check(x, compute_constants(cutoff)), and those constants, from
-    one pass to max(x, cutoff)."""
-    s = prime_sums({"M": cutoff, "C": cutoff, "twin": x}, cache=cache)
-    consts = _constants(s, cutoff)
-    return _lemma1_row(x, _twin_product(s["twin"]), consts), consts
+    ), consts
 
 
 class IntervalProduct:
@@ -445,26 +386,18 @@ def log_t_product(
     return prod.log_t(method, ip.p_e)
 
 
-def t_product(
-    x: int, y: int, method: ProductMethod = ProductMethod.DIRECT
-) -> float:
-    """The interval ratio product T(x, y) for primes in (x, y], from one
-    pass that reduces the interval block by block (means.reduce_interval)."""
-    from .means import reduce_interval   # deferred: means builds on this module
-
-    return math.exp(reduce_interval(x, y, (method,)).log_t(method))
-
-
-def lemma2_check(x: int, c: float) -> AsymptoticCheck:
-    """Interval ratio product against beta^2/x^(beta-1) at y = floor(x^beta)."""
-    from .verify import beta_for  # deferred: verify builds on this module
+def lemma2_report(x: int, c: float) -> tuple[AsymptoticCheck, BetaSpec, float]:
+    """The interval ratio product T over (x, y], y = floor(x^beta), against
+    beta^2/x^(beta-1); its BetaSpec; and the DIRECT product relative to the
+    TELESCOPED one minus 1.  One streamed pass over the interval reduces its
+    primes block by block and never holds them whole."""
+    from .means import reduce_interval   # deferred: means and verify build on this module
+    from .verify import beta_for
 
     spec = beta_for(x, c)
-    obs = t_product(x, spec.y, ProductMethod.DIRECT)
-    return _lemma2_row(x, c, spec, obs)
-
-
-def _lemma2_row(x: int, c: float, spec: BetaSpec, obs: float) -> AsymptoticCheck:
+    iv = reduce_interval(x, spec.y, tuple(ProductMethod))
+    obs = math.exp(iv.log_t(ProductMethod.DIRECT))
+    tele = math.exp(iv.log_t(ProductMethod.TELESCOPED))
     # x^(beta-1) = exp(c/log x), computed without the 1 + tiny exponent round trip
     pred = spec.beta**2 / math.exp(c / math.log(x))
     return AsymptoticCheck(
@@ -473,18 +406,4 @@ def _lemma2_row(x: int, c: float, spec: BetaSpec, obs: float) -> AsymptoticCheck
         predicted=pred,
         scaled_residual=obs / pred - 1.0,
         scale_note="observed/predicted - 1; expected O(1/log^2 x)",
-    )
-
-
-def lemma2_report(x: int, c: float) -> tuple[AsymptoticCheck, BetaSpec, float]:
-    """lemma2_check(x, c), its BetaSpec, and the DIRECT product relative to
-    the TELESCOPED one minus 1, from one streamed pass over the interval:
-    its primes are reduced block by block and never held whole."""
-    from .means import reduce_interval   # deferred: means and verify build on this module
-    from .verify import beta_for
-
-    spec = beta_for(x, c)
-    iv = reduce_interval(x, spec.y, tuple(ProductMethod))
-    obs = math.exp(iv.log_t(ProductMethod.DIRECT))
-    tele = math.exp(iv.log_t(ProductMethod.TELESCOPED))
-    return _lemma2_row(x, c, spec, obs), spec, obs / tele - 1.0
+    ), spec, obs / tele - 1.0

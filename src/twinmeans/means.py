@@ -263,25 +263,20 @@ def max_element(elements: Iterable[RatioElement]) -> RatioElement:
     return best
 
 
-def min_element(elements: Iterable[RatioElement]) -> RatioElement:
-    if isinstance(elements, RatioElements):
-        return elements.ratio_set.inf
-    it = iter(elements)
-    try:
-        best = next(it)
-    except StopIteration:
-        raise EmptySetError("min of an empty ratio collection") from None
-    for e in it:
-        if e < best:
-            best = e
-    return best
+def min_element(elements: RatioElements) -> RatioElement:
+    """The exact inf of a ratio set, from its elements view."""
+    return elements.ratio_set.inf
 
 
-Values = Union[Sequence[float], Sequence[RatioElement]]
+# The inputs of power_mean and mean_limit: a ratio set's elements view, or
+# plain floats.  A list of RatioElement is neither: float() refuses it.
+Values = Union[RatioElements, Sequence[float]]
 
 
-def _checked_floats(elems: list) -> np.ndarray:
-    vals = np.array([float(v) for v in elems])
+def _checked_floats(values: Sequence[float], what: str) -> np.ndarray:
+    vals = np.array([float(v) for v in values])
+    if not vals.size:
+        raise EmptySetError(f"{what} of an empty set")
     if not np.all(np.isfinite(vals) & (vals > 0.0)):
         raise ValueError("power means need strictly positive finite values")
     return vals
@@ -295,16 +290,9 @@ def _terms(values: Values, top: bool, what: str) -> tuple[np.ndarray, float]:
     the same side of 1 as the exact ratio does.
     """
     if isinstance(values, RatioElements):
-        vals = values.ratio_set.values
-    else:
-        values = list(values)
-        if not values:
-            raise EmptySetError(f"{what} of an empty set")
-        if not isinstance(values[0], RatioElement):
-            vals = _checked_floats(values)
-            return vals, float(vals.max() if top else vals.min())
-        vals = np.array([e.value for e in values])
-    return vals, (max_element if top else min_element)(values).value
+        return values.ratio_set.values, (max_element if top else min_element)(values).value
+    vals = _checked_floats(values, what)
+    return vals, float(vals.max() if top else vals.min())
 
 
 def power_mean(values: Values, alpha: float) -> MeanValue:
@@ -326,29 +314,21 @@ def power_mean(values: Values, alpha: float) -> MeanValue:
     return MeanValue(alpha=alpha, value=m * s ** (1.0 / alpha), count=n)
 
 
-def _log_terms(values: Values) -> np.ndarray:
-    if isinstance(values, RatioElements):
-        rs = values.ratio_set
-        # log(p/(p+k)) = log1p(-k/(p+k)), exact numerator and denominator
-        return np.log1p(-rs.k / (rs.primes + rs.k))
-    elems = list(values)
-    if not elems:
-        raise EmptySetError("mean limit of an empty set")
-    if isinstance(elems[0], RatioElement):
-        return np.log1p(np.array([(e.num - e.den) / e.den for e in elems]))
-    return np.log(_checked_floats(elems))
-
-
 def mean_limit(values: Values, which: MeanLimit) -> MeanValue:
     """The alpha -> 0 (geometric) and alpha -> +-inf (max/min) mean limits.
 
-    On ratio elements the sup/inf are the exact extremes and the geometric
-    mean runs on log1p of the exact pair differences.
+    On an elements view the sup/inf are the set's exact extremes and the
+    geometric mean runs on log1p of the exact pair differences.
     """
     if not isinstance(which, MeanLimit):
         raise ValueError(f"unknown mean limit {which!r}")
     if which is MeanLimit.ZERO:
-        logs = _log_terms(values)
+        if isinstance(values, RatioElements):
+            rs = values.ratio_set
+            # log(p/(p+k)) = log1p(-k/(p+k)), exact numerator and denominator
+            logs = np.log1p(-rs.k / (rs.primes + rs.k))
+        else:
+            logs = np.log(_checked_floats(values, "mean limit"))
         n = int(logs.size)
         return MeanValue(alpha=0.0, value=math.exp(ExactSum(logs).value / n), count=n)
     top = which is MeanLimit.PLUS_INF

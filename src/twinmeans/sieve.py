@@ -31,8 +31,7 @@ past y, so its primes and the successor prime of y come from one pass.
 A TPC1 cache file is never loaded whole.  load_cache validates it in one
 pass over fixed-size blocks and returns a PrimeFile handle; prime_stream
 and prime_summary then read the file one window, or a few entries, at a
-time, through the same two operations by which they serve an in-memory
-PrimeSeq.  A missing or rejected cache is written straight from the sieve
+time.  A missing or rejected cache is written straight from the sieve
 windows (save_cache), so neither reading nor building a cache holds every
 prime.
 
@@ -82,22 +81,6 @@ _CACHE_HEAD = len(CACHE_MAGIC) + 1 + _CACHE_HEADER.size   # payload offset, 21
 _CACHE_BLOCK = 1 << 19
 
 
-@dataclass(eq=False)
-class PrimeSeq:
-    """All primes up to `limit`, strictly increasing."""
-
-    limit: int
-    primes: np.ndarray
-
-    # The two reads that prime_stream and prime_summary serve a cache with,
-    # shared with PrimeFile: the number of entries <= v, and entries [a, b).
-    def _upto(self, v: int) -> int:
-        return int(np.searchsorted(self.primes, v, side="right"))
-
-    def _entries(self, a: int, b: int) -> np.ndarray:
-        return self.primes[a:b]
-
-
 @dataclass(frozen=True)
 class PrimeFile:
     """The primes up to `limit` held in a TPC1 cache file: its first `count`
@@ -113,6 +96,8 @@ class PrimeFile:
     limit: int
     count: int
 
+    # The two reads that prime_stream and prime_summary serve a cache with:
+    # the number of entries <= v, and entries [a, b).
     def _upto(self, v: int) -> int:
         lo, hi = 0, self.count      # binary search, one 8-byte read a probe
         probe = np.empty(1, dtype=np.int64)
@@ -351,30 +336,27 @@ def iter_prime_segments(
         del block   # freed before the next window is marked
 
 
-def prime_stream(
-    hi: int, *, lo: int = 1, cache: Optional[PrimeSeq | PrimeFile] = None
-) -> Iterator[np.ndarray]:
-    """Primes in (lo, hi], served from `cache` when it covers the range.
+def prime_stream(hi: int, *, cache: Optional[PrimeFile] = None) -> Iterator[np.ndarray]:
+    """Primes up to hi, served from `cache` when it covers them.
 
-    A cache is served in the windows (lo, lo + S], (lo + S, lo + 2*S], ...
-    with S = DEFAULT_SEGMENT_SIZE, so what a consumer builds per window
-    stays window-sized either way: views of a PrimeSeq, sequential reads of
-    a PrimeFile.
+    A cache is served in the windows (1, 1 + S], (1 + S, 1 + 2*S], ...
+    with S = DEFAULT_SEGMENT_SIZE, one sequential read each, so what a
+    consumer builds per window stays window-sized either way.
     """
     if cache is not None and cache.limit >= hi:
         seg = DEFAULT_SEGMENT_SIZE
-        a = cache._upto(lo)
-        for end in range(lo + seg, hi + seg, seg):
+        a = 0
+        for end in range(1 + seg, hi + seg, seg):
             b = cache._upto(min(end, hi))
             if b > a:
                 yield cache._entries(a, b)
             a = b
         return
-    yield from iter_prime_segments(lo, hi)
+    yield from iter_prime_segments(1, hi)
 
 
-def primes_up_to(limit: int) -> PrimeSeq:
-    """Materialize all primes <= limit.
+def primes_up_to(limit: int) -> np.ndarray:
+    """Materialize all primes <= limit, as one increasing int64 array.
 
     Mind the memory: the result holds pi(limit) int64 values even though the
     sieving itself is windowed.  It holds them once: one array grows in
@@ -388,7 +370,7 @@ def primes_up_to(limit: int) -> PrimeSeq:
         n = primes.size
         primes.resize(n + seg.size, refcheck=False)
         primes[n:] = seg
-    return PrimeSeq(limit=limit, primes=primes)
+    return primes
 
 
 def _last_primes(cur: int, flags: np.ndarray, m: int) -> list[int]:
@@ -406,7 +388,7 @@ def _last_primes(cur: int, flags: np.ndarray, m: int) -> list[int]:
 
 
 def prime_summary(
-    limit: int, ends: int, *, cache: Optional[PrimeSeq | PrimeFile] = None
+    limit: int, ends: int, *, cache: Optional[PrimeFile] = None
 ) -> tuple[int, list[int], list[int]]:
     """pi(limit) with the first and the last `ends` primes <= limit.
 
@@ -434,7 +416,7 @@ def prime_summary(
     return count, head, tail
 
 
-def prime_count(x: int, *, cache: Optional[PrimeSeq | PrimeFile] = None) -> int:
+def prime_count(x: int, *, cache: Optional[PrimeFile] = None) -> int:
     """Exact number of primes <= x, counted without building them: the sum
     of count_nonzero over the marked windows of (1, x], or one search of a
     cache that covers x."""
@@ -531,7 +513,7 @@ def interval_primes(x: int, y: int) -> IntervalPrimes:
     )
 
 
-def max_gap_up_to(limit: int, *, cache: Optional[PrimeSeq | PrimeFile] = None) -> GapRecord:
+def max_gap_up_to(limit: int, *, cache: Optional[PrimeFile] = None) -> GapRecord:
     """Largest consecutive-prime gap with both primes <= limit."""
     limit = int(limit)
     if limit < 3:
@@ -553,55 +535,55 @@ def max_gap_up_to(limit: int, *, cache: Optional[PrimeSeq | PrimeFile] = None) -
     return GapRecord(limit=limit, gap=best_gap, lower_prime=best_lower)
 
 
-def twin_pairs_in(x: int, y: int) -> list[tuple[int, int]]:
-    """Twin pairs (p, p+2), both prime, with x < p <= y.
+def twin_pairs_in(x: int, y: int) -> np.ndarray:
+    """The lower primes p of the twin pairs (p, p+2) with x < p <= y, as an
+    increasing int64 array.
 
     A brute-force scan: each prime p is looked up with p + 2 among the
     primes of (x, y + 2], window by window, with the last prime of a window
-    carried into the next.  The cap applies to y; the look-ahead to y + 2
-    for a co-twin may pass it.
+    carried into the next.  The array grows in place (realloc), so the
+    pairs are never held twice.  The cap applies to y; the look-ahead to
+    y + 2 for a co-twin may pass it.
     """
     x, y = int(x), int(y)
     if not 0 < x < y:
         raise ValueError("need 0 < x < y")
     if y > MAX_SIEVE_LIMIT:
         raise CapacityError(f"limit {y} exceeds configured maximum {MAX_SIEVE_LIMIT}")
-    lower: list[int] = []
+    lower = np.empty(0, dtype=np.int64)
     carry = np.empty(0, dtype=np.int64)
     for seg in iter_prime_segments(x, y + 2, max_limit=y + 2):
         arr = np.concatenate((carry, seg))
         # the last prime waits for the next window, where p + 2 would be
         head = arr[:-1]
         idx = np.minimum(np.searchsorted(arr, head + 2), arr.size - 1)
-        lower += head[arr[idx] == head + 2].tolist()   # arr <= y + 2, so head <= y
+        t, n = head[arr[idx] == head + 2], lower.size   # arr <= y + 2, so head <= y
+        lower.resize(n + t.size, refcheck=False)
+        lower[n:] = t
         carry = arr[-1:]
-    return [(p, p + 2) for p in lower]
+    return lower
 
 
-def save_cache(ps: PrimeSeq | int, path: str) -> PrimeFile:
-    """Write a TPC1 cache file (atomic replace) and return a handle on it.
+def save_cache(limit: int, path: str) -> PrimeFile:
+    """Write the TPC1 cache file of the primes up to `limit` (atomic
+    replace) and return a handle on it.
 
-    Given a PrimeSeq, its array is written as it is, checked or not (tests
-    write doctored files this way).  Given a limit, the primes up to it are
-    sieved and written window by window, so the build holds one window of
-    primes, not all of them.  The header goes first with count 0 and is
-    patched once the count is known; the file is then renamed into place.
+    The primes are sieved and written window by window, so the build holds
+    one window of primes, not all of them.  The header goes first with
+    count 0 and is patched once the count is known; the file is then
+    renamed into place.
     On any exception, interrupts included, the temporary file is removed,
     so a failed build leaves neither it nor a partial cache at `path`.
     """
-    if isinstance(ps, PrimeSeq):
-        limit, windows = ps.limit, [ps.primes]
-    else:
-        limit = int(ps)
-        if limit < 0:
-            raise ValueError("limit must be >= 0")
-        windows = iter_prime_segments(1, limit)
+    limit = int(limit)
+    if limit < 0:
+        raise ValueError("limit must be >= 0")
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "wb") as fh:
             fh.write(CACHE_MAGIC + bytes([CACHE_VERSION]) + _CACHE_HEADER.pack(limit, 0))
             count = 0
-            for w in windows:
+            for w in iter_prime_segments(1, limit):
                 w.astype("<u8", copy=False).tofile(fh)
                 count += w.size
             fh.seek(len(CACHE_MAGIC) + 1)

@@ -117,7 +117,7 @@ class Theorem1Row:
 @dataclass(frozen=True)
 class CriterionReport:
     """Exact-threshold twin decision for (x, y] next to the brute-force scan
-    (sieve.twin_pairs_in), whose pairs are held as a TwinPairs view."""
+    (sieve.twin_pairs_in), whose int64 lower primes a TwinPairs view wraps."""
 
     x: int
     y: int
@@ -193,7 +193,7 @@ def twin_criterion(x: int, y: int) -> CriterionReport:
         threshold=threshold,
         m_inf=m_inf,
         decision=m_inf > threshold,
-        brute_force_twins=TwinPairs([p for p, _ in sieve.twin_pairs_in(x, y)]),
+        brute_force_twins=TwinPairs(sieve.twin_pairs_in(x, y)),
     )
 
 

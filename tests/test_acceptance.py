@@ -24,7 +24,7 @@ import time
 
 import pytest
 
-from twinmeans import analytic, selftest, verify
+from twinmeans import analytic, means, selftest, verify
 from twinmeans.analytic import ProductMethod
 
 import _oracles as oracle
@@ -85,7 +85,7 @@ def test_criterion_03_mertens_sum_envelope(consts):
     elapsed_1e8 = None
     for x in (10**4, 10**6, 10**8):
         t0 = time.perf_counter()
-        s = analytic.mertens_sum(x)
+        s = analytic.mertens_report(x, 2)[0].observed
         dt = time.perf_counter() - t0
         if x == 10**8:
             elapsed_1e8 = dt
@@ -102,7 +102,7 @@ def test_criterion_04_twin_product_envelope(consts):
     bundle, _ = consts
     resids = []
     for x in (10**6, 10**7, 10**8):
-        tp = analytic.twin_product(x)
+        tp = analytic.lemma1_report(x, 3)[0].observed
         r = abs(math.exp(bundle.D) * math.log(x) ** 2 * tp - 1.0)
         resids.append(r)
         print(
@@ -114,11 +114,7 @@ def test_criterion_04_twin_product_envelope(consts):
 
 
 def test_criterion_05_product_route_identity():
-    d = analytic.t_product(10**6, verify.beta_for(10**6, 1.0).y, ProductMethod.DIRECT)
-    t = analytic.t_product(
-        10**6, verify.beta_for(10**6, 1.0).y, ProductMethod.TELESCOPED
-    )
-    rel = abs(d / t - 1.0)
+    rel = abs(analytic.lemma2_report(10**6, 1.0)[2])   # DIRECT / TELESCOPED - 1
     print(f"criterion 5: route disagreement at 1e6 = {rel:.2e}")
     assert rel <= 1e-12
 
@@ -132,16 +128,17 @@ def test_criterion_05_product_route_identity():
         y = p
         exact = oracle.t_product_exact(x, y)
         ref = exact.numerator / exact.denominator
+        iv = means.reduce_interval(x, y, tuple(ProductMethod))
         for method in ProductMethod:
-            got = analytic.t_product(x, y, method)
+            got = math.exp(iv.log_t(method))
             assert got == pytest.approx(ref, rel=1e-12)
     print("criterion 5: 100/100 random intervals match the rational oracle")
 
 
 def test_criterion_06_interval_product_envelope():
     for x in (10**6, 10**7):
-        bs = verify.beta_for(x, 1.0)
-        tp = analytic.t_product(x, bs.y, ProductMethod.DIRECT)
+        chk, bs, _ = analytic.lemma2_report(x, 1.0)
+        tp = chk.observed
         r = abs(tp * math.exp((bs.beta - 1.0) * math.log(x)) / bs.beta**2 - 1.0)
         print(
             f"criterion 6: x={x:.0e} r={r:.3e} "

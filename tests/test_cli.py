@@ -41,7 +41,7 @@ def test_primes_tail_spans_sieve_windows(capsys):
     rc, out, _ = run_cmd(capsys, "primes", "--limit", str(limit), "--format", "json")
     assert rc == 0
     doc = json.loads(out)
-    primes = sieve.primes_up_to(limit).primes
+    primes = sieve.primes_up_to(limit)
     assert doc["count"] == primes.size
     assert doc["tail"] == primes[-10:].tolist() and doc["largest"] == int(primes[-1])
 
@@ -90,11 +90,6 @@ def test_json_preserves_doubles_exactly(capsys):
 # json round-trips back to report objects
 
 
-def _mertens_check():
-    m_hat, _ = analytic.estimate_M(10_000)
-    return analytic.mertens_check(10_000, m_hat)
-
-
 def _check_json_roundtrip(capsys, argv, cls, library):
     """parse -> from_payload -> to_payload -> render gives stdout back, byte
     for byte, and the rebuilt report equals the library's."""
@@ -141,7 +136,7 @@ def test_gaps_json_roundtrip(capsys):
 def test_mertens_json_roundtrip(capsys):
     _check_json_roundtrip(
         capsys, "mertens --x 10000 --cutoff 10000", analytic.AsymptoticCheck,
-        _mertens_check,
+        lambda: analytic.mertens_report(10_000, 10_000)[0],
     )
 
 

@@ -203,6 +203,12 @@ def primes_1e6():
     return sieve.primes_up_to(10**6)
 
 
+@pytest.fixture(scope="module")
+def cache_1e6(tmp_path_factory):
+    """The TPC1 cache file of the primes up to 1e6."""
+    return sieve.save_cache(10**6, str(tmp_path_factory.mktemp("cache") / "p.tpc1"))
+
+
 def fsum_sums(p: np.ndarray) -> dict[str, float]:
     """The four prime sums over the primes p, each one math.fsum of its terms."""
     odd = p[p > 2]
@@ -217,13 +223,13 @@ def fsum_sums(p: np.ndarray) -> dict[str, float]:
 
 def test_prime_sums_equal_fsum_over_all_terms(primes_1e6):
     sums = analytic.prime_sums({"recip": 10**6, "M": 10**6, "C": 10**6, "twin": 10**6})
-    assert sums == fsum_sums(primes_1e6.primes)
+    assert sums == fsum_sums(primes_1e6)
 
 
 def test_prime_sums_each_stop_at_their_own_limit(monkeypatch):
     limits = {"recip": 99_991, "M": 1_000, "C": 50_000, "twin": 3}
     want = {name: analytic.prime_sums({name: x})[name] for name, x in limits.items()}
-    twin = analytic.twin_product(3)
+    twin = analytic.lemma1_report(3, 3)[0].observed
     monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", 4096)
     sums = analytic.prime_sums(limits)
     assert sums == want
@@ -241,8 +247,8 @@ def test_prime_sums_reject_unknown_names_and_small_limits():
 
 @pytest.mark.parametrize("cached", [False, True], ids=["uncached", "cached"])
 @pytest.mark.parametrize("block", [1, 7, 1 << 10, 1 << 14])
-def test_prime_sums_do_not_depend_on_block_size(primes_1e6, monkeypatch, block, cached):
-    p = primes_1e6.primes
+def test_prime_sums_do_not_depend_on_block_size(primes_1e6, cache_1e6, monkeypatch, block, cached):
+    p = primes_1e6
     # the last prime of the third block, and the first of the fourth
     last, first = int(p[3 * block - 1]), int(p[3 * block])
     top = 10**6 if block > 1 else 10**4   # 78,498 one-prime blocks to 1e6 take ~8 s a pass
@@ -252,7 +258,7 @@ def test_prime_sums_do_not_depend_on_block_size(primes_1e6, monkeypatch, block, 
     want = [analytic.prime_sums(limits) for limits in cases]
     monkeypatch.setattr(sieve, "_BLOCK", block)
     for limits, default in zip(cases, want):
-        got = analytic.prime_sums(limits, cache=primes_1e6 if cached else None)
+        got = analytic.prime_sums(limits, cache=cache_1e6 if cached else None)
         assert got == default
         assert got == {name: oracle[x][name] for name, x in limits.items()}
 
@@ -283,26 +289,27 @@ def test_prime_sums_hold_a_fixed_buffer_above_the_stream():
 
 
 def test_reports_equal_the_two_step_checks():
+    # one pass to max(x, cutoff) gives what a pass per sum gives
     chk, m_hat = analytic.mertens_report(10**5, 10**3)
-    assert m_hat == analytic.estimate_M(10**3)[0]
-    assert chk == analytic.mertens_check(10**5, m_hat)
+    assert m_hat == analytic.mertens_report(10**3, 10**3)[1]
+    assert chk.observed == analytic.prime_sums({"recip": 10**5})["recip"]
     chk, consts = analytic.lemma1_report(10**3, 10**4)
     assert consts == analytic.compute_constants(10**4)
-    assert chk == analytic.lemma1_check(10**3, consts)
+    assert chk.observed == 0.5 * math.exp(analytic.prime_sums({"twin": 10**3})["twin"])
 
 
 @pytest.mark.parametrize("segment_size", [16, 1 << 12, 1 << 16, 1 << 21, 1 << 23])
 def test_estimates_and_twin_product_do_not_depend_on_segment_size(monkeypatch, segment_size):
+    # M, C with their tail radii, and the twin product, from one pass each
     x = 10**6
-    want = (analytic.estimate_M(x), analytic.estimate_C(x), analytic.twin_product(x))
+    want = analytic.lemma1_report(x, x)
     monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", segment_size)
-    got = (analytic.estimate_M(x), analytic.estimate_C(x), analytic.twin_product(x))
-    assert got == want
+    assert analytic.lemma1_report(x, x) == want
 
 
 @pytest.mark.parametrize("segment_size", [64, 1 << 12, 1 << 21])
-def test_cached_prime_sums_do_not_depend_on_segment_size(primes_1e6, monkeypatch, segment_size):
+def test_cached_prime_sums_do_not_depend_on_segment_size(cache_1e6, monkeypatch, segment_size):
     limits = {"recip": 10**6, "M": 10**5, "C": 10**6, "twin": 3 * 10**5}
     want = analytic.prime_sums(limits)
     monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", segment_size)
-    assert analytic.prime_sums(limits, cache=primes_1e6) == want
+    assert analytic.prime_sums(limits, cache=cache_1e6) == want

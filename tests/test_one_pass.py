@@ -90,7 +90,7 @@ def test_theorem1_twin_pairs_match_twin_scan_sweep():
         except (EmptySetError, ValueError):   # empty or degenerate interval
             continue
         y = row.interval.y
-        assert row.twin_pairs == sieve.twin_pairs_in(x, y)
+        assert row.twin_pairs == verify.TwinPairs(sieve.twin_pairs_in(x, y))
         if x < 3_000:
             assert row.twin_pairs == oracle.twin_pairs(x, y)
         checked += 1

@@ -26,25 +26,25 @@ import _oracles as oracle
 
 
 def test_primes_up_to_10():
-    assert sieve.primes_up_to(10).primes.tolist() == [2, 3, 5, 7]
+    assert sieve.primes_up_to(10).tolist() == [2, 3, 5, 7]
 
 
 def test_primes_up_to_small_edges():
-    assert sieve.primes_up_to(0).primes.tolist() == []
-    assert sieve.primes_up_to(1).primes.tolist() == []
-    assert sieve.primes_up_to(2).primes.tolist() == [2]
-    assert sieve.primes_up_to(3).primes.tolist() == [2, 3]
+    assert sieve.primes_up_to(0).tolist() == []
+    assert sieve.primes_up_to(1).tolist() == []
+    assert sieve.primes_up_to(2).tolist() == [2]
+    assert sieve.primes_up_to(3).tolist() == [2, 3]
 
 
 def test_primes_up_to_100_against_trial_division():
-    got = sieve.primes_up_to(100).primes.tolist()
+    got = sieve.primes_up_to(100).tolist()
     assert got == oracle.primes_upto(100)
     assert len(got) == 25
     assert got[-1] == 97
 
 
 def test_primes_up_to_10000_against_trial_division():
-    assert sieve.primes_up_to(10_000).primes.tolist() == oracle.primes_upto(10_000)
+    assert sieve.primes_up_to(10_000).tolist() == oracle.primes_upto(10_000)
 
 
 def test_primes_up_to_holds_its_primes_once():
@@ -55,21 +55,21 @@ def test_primes_up_to_holds_its_primes_once():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert ps.primes.size == 1_270_607
-    assert peak <= 1.25 * ps.primes.nbytes
+    assert ps.size == 1_270_607
+    assert peak <= 1.25 * ps.nbytes
 
 
 def test_prime_seq_dtype_and_limit():
     ps = sieve.primes_up_to(50)
-    assert ps.primes.dtype == np.int64
-    assert ps.limit == 50
+    assert ps.dtype == np.int64
+    assert ps[-1] <= 50 < sieve.next_prime_after(int(ps[-1]))   # every prime up to the limit
 
 
 @pytest.mark.parametrize("segment_size", [16, 17, 64, 1024, 4096])
 def test_segment_size_does_not_change_output(monkeypatch, segment_size):
-    base = sieve.primes_up_to(100_000).primes
+    base = sieve.primes_up_to(100_000)
     monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", segment_size)
-    seg = sieve.primes_up_to(100_000).primes
+    seg = sieve.primes_up_to(100_000)
     assert np.array_equal(base, seg)
 
 
@@ -86,7 +86,7 @@ def test_iter_prime_segments_boundaries(monkeypatch, lo, hi):
 
 
 def test_prime_stream_window():
-    got = [int(p) for seg in sieve.prime_stream(13, lo=2) for p in seg]
+    got = [int(p) for seg in sieve.iter_prime_segments(2, 13) for p in seg]
     assert got == [3, 5, 7, 11, 13]
 
 
@@ -235,17 +235,24 @@ def test_max_gap_earliest_tie_wins_across_a_window_boundary(monkeypatch):
 # twin scan
 
 
+def twin_pairs(x, y):
+    """The scan's pairs (p, p+2), from its int64 array of lower primes."""
+    lower = sieve.twin_pairs_in(x, y)
+    assert lower.dtype == np.int64
+    return [(p, p + 2) for p in lower.tolist()]
+
+
 def test_twin_pairs_10_20():
-    assert sieve.twin_pairs_in(10, 20) == [(11, 13), (17, 19)]
+    assert twin_pairs(10, 20) == [(11, 13), (17, 19)]
 
 
 def test_twin_pairs_cotwin_beyond_y_counts():
     # 5 <= 6 is in range even though 7 > 6
-    assert sieve.twin_pairs_in(1, 6) == [(3, 5), (5, 7)]
+    assert twin_pairs(1, 6) == [(3, 5), (5, 7)]
 
 
 def test_twin_pairs_none():
-    assert sieve.twin_pairs_in(89, 97) == []
+    assert twin_pairs(89, 97) == []
 
 
 def test_twin_pairs_random_sweep():
@@ -253,11 +260,20 @@ def test_twin_pairs_random_sweep():
     for _ in range(100):
         x = rng.randrange(1, 3_000)
         y = x + rng.randrange(1, 400)
-        assert sieve.twin_pairs_in(x, y) == oracle.twin_pairs(x, y)
+        assert twin_pairs(x, y) == oracle.twin_pairs(x, y)
 
 
 # ---------------------------------------------------------------------------
 # cache format
+
+
+def _write_raw(path, magic=b"TPC1", version=1, limit=10, primes=(2, 3, 5, 7)):
+    """Write a TPC1 file byte by byte, whatever its header and entries."""
+    with open(path, "wb") as fh:
+        fh.write(magic)
+        fh.write(bytes([version]))
+        fh.write(struct.pack("<QQ", limit, len(primes)))
+        fh.write(np.asarray(primes, dtype="<u8").tobytes())
 
 
 def _stored(cache):
@@ -268,15 +284,15 @@ def _stored(cache):
 def test_cache_roundtrip(tmp_path):
     path = str(tmp_path / "p.tpc")
     ps = sieve.primes_up_to(1_000)
-    sieve.save_cache(ps, path)
+    sieve.save_cache(1_000, path)
     back = sieve.load_cache(path)
     assert back.limit == 1_000
-    assert np.array_equal(_stored(back), ps.primes)
+    assert np.array_equal(_stored(back), ps)
 
 
 def test_cache_header_layout(tmp_path):
     path = str(tmp_path / "p.tpc")
-    sieve.save_cache(sieve.primes_up_to(10), path)
+    sieve.save_cache(10, path)
     raw = open(path, "rb").read()
     assert raw[:4] == b"TPC1"
     assert raw[4] == 1
@@ -284,14 +300,6 @@ def test_cache_header_layout(tmp_path):
     assert (limit, count) == (10, 4)
     assert struct.unpack_from("<4Q", raw, 21) == (2, 3, 5, 7)
     assert len(raw) == 21 + 4 * 8
-
-
-def _write_raw(path, magic=b"TPC1", version=1, limit=10, primes=(2, 3, 5, 7)):
-    with open(path, "wb") as fh:
-        fh.write(magic)
-        fh.write(bytes([version]))
-        fh.write(struct.pack("<QQ", limit, len(primes)))
-        fh.write(np.asarray(primes, dtype="<u8").tobytes())
 
 
 @pytest.mark.parametrize(
@@ -346,19 +354,21 @@ def test_cached_primes_serves_prefix_without_rewrite(tmp_path):
 
 def test_cache_served_as_segment_views(tmp_path, monkeypatch):
     path = str(tmp_path / "p.tpc")
-    sieve.save_cache(sieve.primes_up_to(10_000), path)
+    sieve.save_cache(10_000, path)
     ps = sieve.load_cache(path)
     small = sieve.cached_primes_up_to(5_000, path)
     assert (small.path, small.count) == (path, 669)   # a prefix of the same file
     assert _stored(small) == oracle.primes_upto(5_000)
     for lo, hi, seg in [(1, 10_000, 16), (100, 9_000, 1000), (7, 8, 16), (1, 10_000, 1 << 21)]:
         monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", seg)
-        views = list(sieve.prime_stream(hi, lo=lo, cache=ps))
+        views = list(sieve.prime_stream(hi, cache=ps))
         assert all(v.size and v.dtype == np.int64 for v in views)
         assert all(v[-1] - v[0] < seg for v in views)
-        assert np.concatenate(views or [[]]).tolist() == oracle.primes_upto(hi)[
-            len(oracle.primes_upto(lo)):
-        ]
+        served = np.concatenate(views or [[]]).tolist()
+        assert served == oracle.primes_upto(hi)
+        # the cache's own search finds (lo, hi]
+        pi = sieve.prime_count(hi, cache=ps) - sieve.prime_count(lo, cache=ps)
+        assert pi == len(oracle.primes_between(lo, hi))
 
 
 def test_cached_primes_rebuilds_when_too_small(tmp_path):
@@ -383,8 +393,8 @@ def test_cached_primes_rebuilds_corrupt_file(tmp_path):
 
 def test_cache_with_a_prime_missing_is_rejected_and_rebuilt(tmp_path):
     path = str(tmp_path / "p.tpc")
-    full = sieve.primes_up_to(100).primes
-    sieve.save_cache(sieve.PrimeSeq(limit=100, primes=np.delete(full, 10)), path)
+    full = sieve.primes_up_to(100)
+    _write_raw(path, limit=100, primes=np.delete(full, 10))
     with pytest.raises(CacheFormatError, match="fresh sieve"):
         sieve.load_cache(path)
     reason = re.escape(path) + ": cache primes in .* differ from a fresh sieve"
@@ -399,8 +409,8 @@ def test_cache_with_a_prime_missing_is_rejected_and_rebuilt(tmp_path):
 def test_cache_content_checked_in_first_and_last_window(tmp_path, monkeypatch, where, fault):
     monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", 1_000)
     path = str(tmp_path / "p.tpc")
-    primes = sieve.primes_up_to(20_000).primes
-    sieve.save_cache(sieve.PrimeSeq(limit=20_000, primes=primes), path)
+    primes = sieve.primes_up_to(20_000)
+    _write_raw(path, limit=20_000, primes=primes)
     sieve.load_cache(path)   # the honest file passes
     i = 20 if where == "first" else primes.size - 20
     if fault == "drop":
@@ -408,7 +418,7 @@ def test_cache_content_checked_in_first_and_last_window(tmp_path, monkeypatch, w
     else:   # an odd composite between two primes
         bad = np.insert(primes, i + 1, primes[i] + 2 if primes[i] % 3 == 1 else primes[i] + 4)
         assert not oracle.is_prime(int(bad[i + 1])) and bad[i + 1] < bad[i + 2]
-    sieve.save_cache(sieve.PrimeSeq(limit=20_000, primes=bad), path)
+    _write_raw(path, limit=20_000, primes=bad)
     with pytest.raises(CacheFormatError):
         sieve.load_cache(path)
 
@@ -435,7 +445,7 @@ def test_cache_decrease_across_a_read_block_is_rejected(tmp_path, fault):
     # increasing on its own, and the message is the monotonicity check's,
     # not the re-sieve's that would catch the fault too
     b = sieve._CACHE_BLOCK
-    primes = sieve.primes_up_to(8 * 10**6).primes
+    primes = sieve.primes_up_to(8 * 10**6)
     assert primes.size > b + 1
     bad = primes.copy()
     if fault == "swap":
@@ -443,14 +453,14 @@ def test_cache_decrease_across_a_read_block_is_rejected(tmp_path, fault):
     else:
         bad[b] = primes[b - 1]
     path = str(tmp_path / "p.tpc")
-    sieve.save_cache(sieve.PrimeSeq(limit=8 * 10**6, primes=bad), path)
+    _write_raw(path, limit=8 * 10**6, primes=bad)
     with pytest.raises(CacheFormatError, match="strictly increasing"):
         sieve.load_cache(path)
 
 
 def test_cache_truncated_after_validation_fails_the_next_read(tmp_path):
     path = str(tmp_path / "p.tpc")
-    sieve.save_cache(sieve.primes_up_to(10_000), path)
+    sieve.save_cache(10_000, path)
     ps = sieve.load_cache(path)
     os.truncate(path, 21 + 8 * 100)
     with pytest.raises(CacheFormatError, match="truncated"):
@@ -466,9 +476,9 @@ def test_built_cache_is_the_file_of_the_materialized_primes(tmp_path, monkeypatc
     built, whole = str(tmp_path / "built.tpc"), str(tmp_path / "whole.tpc")
     pf = sieve.cached_primes_up_to(limit, built)
     ps = sieve.primes_up_to(limit)
-    sieve.save_cache(ps, whole)
+    _write_raw(whole, limit=limit, primes=ps)
     assert open(built, "rb").read() == open(whole, "rb").read()
-    assert (pf.path, pf.limit, pf.count) == (built, limit, ps.primes.size)
+    assert (pf.path, pf.limit, pf.count) == (built, limit, ps.size)
     assert sieve.load_cache(built) == pf       # an empty file loads too
     assert sorted(os.listdir(tmp_path)) == ["built.tpc", "whole.tpc"]
 

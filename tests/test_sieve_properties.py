@@ -14,6 +14,8 @@ agree with the oracle whatever the windows.
 
 import functools
 import math
+import os
+import tempfile
 from unittest import mock
 
 import numpy as np
@@ -116,9 +118,14 @@ def test_prime_summary_matches_trial_division(limit, segment_size, cached):
     """The payload of the primes command: the count, the first ten and the
     last ten primes, whose tail can span several short windows."""
     primes = oracle.primes_upto(limit)
-    cache = sieve.PrimeSeq(limit, np.array(primes, dtype=np.int64)) if cached else None
-    with mock.patch.object(sieve, "DEFAULT_SEGMENT_SIZE", segment_size):
-        summary = sieve.prime_summary(limit, 10, cache=cache)
+    with tempfile.TemporaryDirectory() as tmp:
+        cache = None
+        if cached:   # a cache file written and loaded per example
+            path = os.path.join(tmp, "p.tpc1")
+            sieve.save_cache(limit, path)
+            cache = sieve.load_cache(path)
+        with mock.patch.object(sieve, "DEFAULT_SEGMENT_SIZE", segment_size):
+            summary = sieve.prime_summary(limit, 10, cache=cache)
     assert summary == (len(primes), primes[:10], primes[-10:])
 
 

@@ -115,7 +115,7 @@ def test_window_boundary_between_twin_primes(segment):
     assert seen < assert_streamed_row(x, 4.0).pi_interval
     iv = means.reduce_interval(x, bs.y, twins=True)
     assert p in iv.twin_lower.tolist()
-    assert iv.twin_lower.tolist() == [a for a, _ in sieve.twin_pairs_in(x, bs.y)]
+    assert np.array_equal(iv.twin_lower, sieve.twin_pairs_in(x, bs.y))
 
 
 # (x0, y, p): the sup of (x, y] is the element of p for every x0 <= x < p.
@@ -197,12 +197,14 @@ def test_lemma2_streamed_equals_materialised(segment, x, c):
     tele = math.exp(analytic.log_t_product(ip, ProductMethod.TELESCOPED))
     assert chk.observed == direct
     assert rel_diff == direct / tele - 1.0
-    assert chk == analytic.lemma2_check(x, c)
+    pred = bs.beta**2 / math.exp(c / math.log(x))
+    assert (chk.predicted, chk.scaled_residual) == (pred, direct / pred - 1.0)
     iv = means.reduce_interval(x, bs.y, tuple(ProductMethod))
     assert iv.sup is None and iv.twin_lower is None   # not asked for: not collected
     for m in ProductMethod:
         assert iv.log_t(m) == analytic.log_t_product(ip, m)
-        assert analytic.t_product(x, bs.y, m) == math.exp(analytic.log_t_product(ip, m))
+        one_route = means.reduce_interval(x, bs.y, (m,))
+        assert math.exp(one_route.log_t(m)) == math.exp(analytic.log_t_product(ip, m))
 
 
 def test_reduction_equals_materialised_ratio_set(segment):
@@ -254,7 +256,7 @@ def test_twin_pairs_in_carries_across_windows(monkeypatch, seg):
     for _ in range(30):
         x = rng.randrange(1, 20_000)
         y = x + rng.randrange(1, 2_000)
-        assert sieve.twin_pairs_in(x, y) == oracle.twin_pairs(x, y)
+        assert TwinPairs(sieve.twin_pairs_in(x, y)) == oracle.twin_pairs(x, y)
 
 
 def traced_report_1e8() -> tuple[Theorem1Row, int]:
@@ -321,7 +323,8 @@ def test_json_twin_pairs_are_written_in_pieces(monkeypatch, capsys):
     assert out.getvalue() == whole
     assert max(out.sizes) < 8 * 30 < len(whole) // 20
     pairs = json.loads(whole)["twin_pairs"]
-    assert [tuple(p) for p in pairs] == sieve.twin_pairs_in(10**6, verify.beta_for(10**6, 1.0).y)
+    scan = sieve.twin_pairs_in(10**6, verify.beta_for(10**6, 1.0).y)
+    assert TwinPairs(scan) == [tuple(p) for p in pairs]
 
 
 def test_json_renders_twin_pairs_and_dicts_at_any_depth():
