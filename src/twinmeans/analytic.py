@@ -71,10 +71,11 @@ class ExactSum:
     list goes back through the buckets when it grows past _PARTS_AT, and
     math.fsum rounds the parts and buckets once at the end.  A chunk split
     once takes one temporary of its size (|v|, then overwritten by hi and
-    lo), and the instance keeps no scratch buffer between calls:
-    log_t_product feeds a whole interval, so a kept buffer would be
-    interval-sized per sum.  Reading value leaves the state alone, so it can
-    be read between adds.
+    lo), and the instance keeps no scratch buffer between calls: the
+    package adds at most sieve._BLOCK terms at a time, so that temporary is
+    block-sized already, and a kept buffer would be held per sum for as long
+    as the sum lives.  Reading value leaves the state alone, so it can be
+    read between adds.
     """
 
     def __init__(self, terms=(), *, _fold_at: int = _FOLD_AT):
@@ -334,6 +335,19 @@ def lemma1_report(
     ), consts
 
 
+def _excesses(primes: np.ndarray, p_e: int, out: np.ndarray, start: int = 0) -> np.ndarray:
+    """The excesses k_n = p_{n+1} - 2 - p_n of the out.size primes from
+    primes[start], written into the int64 array out and returned; p_e is
+    the prime after the last of primes."""
+    p = primes[start : start + out.size]
+    nxt = primes[start + 1 : start + 1 + out.size]   # one short where the block ends at p_e
+    np.subtract(nxt, p[: nxt.size], out=out[: nxt.size])
+    if nxt.size < out.size:
+        out[-1] = p_e - int(p[-1])
+    out -= 2
+    return out
+
+
 class IntervalProduct:
     """log T over (x, y] by the product routes in `methods`, block by block.
 
@@ -342,7 +356,9 @@ class IntervalProduct:
     DIRECT sums log1p(k/p); TELESCOPED sums log1p(-2/p) and adds the
     boundary term of p_s, the first prime added, and p_e, the prime past y.
     Each route has its own ExactSum, so any split into blocks gives the
-    bits of one sum over the whole interval.
+    bits of one sum over the whole interval.  The terms of a block are made
+    in one buffer per add, which no route holds past it: a streamed pass
+    sieves its next window between adds.
     """
 
     def __init__(self, methods: tuple[ProductMethod, ...]):
@@ -355,8 +371,10 @@ class IntervalProduct:
     def add(self, primes: np.ndarray, k: np.ndarray) -> None:
         if self.p_s is None:
             self.p_s = int(primes[0])
+        t = np.empty(primes.size)
         for m, acc in self._sums.items():
-            acc.add(np.log1p(k / primes if m is ProductMethod.DIRECT else -2.0 / primes))
+            np.divide(k if m is ProductMethod.DIRECT else -2.0, primes, out=t)
+            acc.add(np.log1p(t, out=t))
 
     def log_t(self, method: ProductMethod, p_e: int) -> float:
         s = -self._sums[method].value
@@ -374,7 +392,8 @@ def log_t_product(
     rearrangement T = ((p_s-2)/(p_e-2)) * prod_{x<p<=y} p/(p-2).  Both sum
     their own terms exactly and agree to near machine precision; the dual
     route is kept deliberately as a cross-check, do not collapse one into
-    the other.  This is IntervalProduct fed the interval as one block.
+    the other.  This is IntervalProduct fed the interval in blocks of at
+    most sieve._BLOCK primes, their excesses k made in one buffer.
     """
     ps = ip.primes
     if ps.size == 0:
@@ -382,7 +401,10 @@ def log_t_product(
     if int(ps[0]) <= 2:
         raise ValueError("ratio products need interval primes above 2")
     prod = IntervalProduct((method,))
-    prod.add(ps, np.diff(ps, append=ip.p_e) - 2)
+    buf = np.empty(min(ps.size, sieve._BLOCK), dtype=np.int64)
+    for i in range(0, ps.size, buf.size):
+        k = _excesses(ps, ip.p_e, buf[: min(buf.size, ps.size - i)], i)
+        prod.add(ps[i : i + k.size], k)
     return prod.log_t(method, ip.p_e)
 
 

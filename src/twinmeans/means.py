@@ -12,7 +12,7 @@ geometric mean) are exact sums (analytic.ExactSum).
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -22,7 +22,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import sieve
-from .analytic import ExactSum, IntervalProduct, ProductMethod
+from .analytic import ExactSum, IntervalProduct, ProductMethod, _excesses
 from .errors import EmptySetError
 from .sieve import IntervalPrimes
 
@@ -108,10 +108,14 @@ class RatioSet:
     the first prime past y.  The excess k_n = p_{n+1} - 2 - p_n >= 0 orders
     the elements: p_n/(p_n + k_n) = 1/(1 + k_n/p_n), so a smaller k/p is a
     larger element and k_n == 0 is exactly 1, a twin pair (p_n, p_n + 2).
-    The exact sup and inf are found once per set, on first use: a float
-    k/p (a correctly rounded, hence monotone, quotient) narrows the
-    candidates and Python-int cross-multiplication settles them.  No product
-    of two primes is formed in int64; near the 1e10 cap it would pass 2^63.
+    k and values are built once, on first use, each straight into its own
+    array.  The exact sup and inf are found once per set, on first use, one
+    block of at most sieve._BLOCK elements at a time: a float k/p (a
+    correctly rounded, hence monotone, quotient) narrows the candidates and
+    Python-int cross-multiplication settles them; a later block replaces the
+    extreme only if strictly better, so it is the first element that
+    attains it.  No product of two primes is formed in int64; near the 1e10
+    cap it would pass 2^63.
     """
 
     x: int
@@ -133,12 +137,13 @@ class RatioSet:
 
     @cached_property
     def k(self) -> np.ndarray:
-        return np.diff(self.primes, append=self.p_e) - 2
+        return _excesses(self.primes, self.p_e, np.empty(self.primes.size, dtype=np.int64))
 
     @cached_property
     def values(self) -> np.ndarray:
         """Element values p/(p+k), each one correctly rounded double."""
-        return self.primes / (self.primes + self.k)
+        v = np.add(self.primes, self.k, out=np.empty(self.primes.size))   # int64 sum, then rounded
+        return np.divide(self.primes, v, out=v)
 
     @cached_property
     def sup(self) -> RatioElement:
@@ -154,16 +159,19 @@ class RatioSet:
 
     def _extreme(self, top: bool) -> RatioElement:
         ps, k = self.primes, self.k
-        f = k / ps
-        best = int(np.argmin(f) if top else np.argmax(f))
-        if k[best] != 0:   # every k == 0 element is exactly 1: no tie to settle
-            kb, pb = int(k[best]), int(ps[best])
-            for j in np.flatnonzero(f == f[best]).tolist():
-                kj, pj = int(k[j]), int(ps[j])
-                if (kj * pb < kb * pj) if top else (kj * pb > kb * pj):
-                    best, kb, pb = j, kj, pj
-        p = int(ps[best])
-        return RatioElement(p, p + int(k[best]))
+        f = np.empty(min(ps.size, sieve._BLOCK))
+        kb = pb = None
+        for i in range(0, ps.size, f.size):
+            p, kk = ps[i : i + f.size], k[i : i + f.size]
+            q = np.divide(kk, p, out=f[: p.size])
+            j = int(np.argmin(q) if top else np.argmax(q))
+            # every k == 0 element is exactly 1: no tie to settle
+            ties = [j] if kk[j] == 0 else np.flatnonzero(q == q[j]).tolist()
+            for j in ties:
+                kj, pj = int(kk[j]), int(p[j])
+                if kb is None or ((kj * pb < kb * pj) if top else (kj * pb > kb * pj)):
+                    kb, pb = kj, pj
+        return RatioElement(pb, pb + kb)
 
 
 @dataclass(frozen=True)
@@ -295,6 +303,20 @@ def _terms(values: Values, top: bool, what: str) -> tuple[np.ndarray, float]:
     return vals, float(vals.max() if top else vals.min())
 
 
+def _block_sum(n: int, terms: Callable[[slice, np.ndarray], np.ndarray]) -> float:
+    """The exact sum of the terms of elements 0..n-1, one block at a time.
+
+    terms(s, out) writes the terms of the elements in slice s, at most
+    sieve._BLOCK of them, into out and returns it.  out is a view of one
+    buffer made once per call, so no temporary grows with n.
+    """
+    buf = np.empty(min(n, sieve._BLOCK))
+    acc = ExactSum()
+    for i in range(0, n, buf.size):
+        acc.add(terms(slice(i, i + buf.size), buf[: min(buf.size, n - i)]))
+    return acc.value
+
+
 def power_mean(values: Values, alpha: float) -> MeanValue:
     """Power mean ((1/N) sum v_i^alpha)^(1/alpha), alpha finite and nonzero.
 
@@ -302,15 +324,22 @@ def power_mean(values: Values, alpha: float) -> MeanValue:
     with m the max (alpha > 0) or min (alpha < 0), so every scaled term lies
     in (0, 1] and no intermediate can overflow.  The scaled-term sum is
     correctly rounded, which keeps the result within a few ulps of exact.  A
-    RatioSet's elements view is reduced over the set's arrays, with m its
-    cached exact sup or inf.  Use mean_limit for alpha -> 0 and +-inf.
+    RatioSet's elements view is reduced over the set's cached values, with m
+    its cached exact sup or inf; the scaled terms are made in blocks of at
+    most sieve._BLOCK.  Use mean_limit for alpha -> 0 and +-inf.
     """
     alpha = float(alpha)
     if not math.isfinite(alpha) or alpha == 0.0:
         raise ValueError("alpha must be finite and nonzero; use mean_limit for limits")
     vals, m = _terms(values, alpha > 0, "power mean")
     n = int(vals.size)
-    s = ExactSum((vals / m) ** alpha).value / n
+
+    def scaled(s: slice, out: np.ndarray) -> np.ndarray:
+        out = np.divide(vals[s], m, out=out)
+        out **= alpha
+        return out
+
+    s = _block_sum(n, scaled) / n
     return MeanValue(alpha=alpha, value=m * s ** (1.0 / alpha), count=n)
 
 
@@ -318,19 +347,32 @@ def mean_limit(values: Values, which: MeanLimit) -> MeanValue:
     """The alpha -> 0 (geometric) and alpha -> +-inf (max/min) mean limits.
 
     On an elements view the sup/inf are the set's exact extremes and the
-    geometric mean runs on log1p of the exact pair differences.
+    geometric mean runs on log1p of the exact pair differences, in blocks of
+    at most sieve._BLOCK elements.
     """
     if not isinstance(which, MeanLimit):
         raise ValueError(f"unknown mean limit {which!r}")
     if which is MeanLimit.ZERO:
         if isinstance(values, RatioElements):
-            rs = values.ratio_set
-            # log(p/(p+k)) = log1p(-k/(p+k)), exact numerator and denominator
-            logs = np.log1p(-rs.k / (rs.primes + rs.k))
+            ps, k = values.ratio_set.primes, values.ratio_set.k
+
+            def logs(s: slice, out: np.ndarray) -> np.ndarray:
+                # log(p/(p+k)) = log1p(-k/(p+k)), exact numerator and denominator:
+                # p+k is summed in int64, then rounded, and -(k/d) has the bits of (-k)/d
+                out = np.add(ps[s], k[s], out=out)
+                np.divide(k[s], out, out=out)
+                np.negative(out, out=out)
+                return np.log1p(out, out=out)
+
+            n = int(ps.size)
         else:
-            logs = np.log(_checked_floats(values, "mean limit"))
-        n = int(logs.size)
-        return MeanValue(alpha=0.0, value=math.exp(ExactSum(logs).value / n), count=n)
+            vals = _checked_floats(values, "mean limit")
+            n = int(vals.size)
+
+            def logs(s: slice, out: np.ndarray) -> np.ndarray:
+                return np.log(vals[s], out=out)
+
+        return MeanValue(alpha=0.0, value=math.exp(_block_sum(n, logs) / n), count=n)
     top = which is MeanLimit.PLUS_INF
     vals, m = _terms(values, top, "mean limit")
     return MeanValue(alpha=math.inf if top else -math.inf, value=m, count=int(vals.size))

@@ -264,16 +264,15 @@ def _marked_windows(
         flags = buf[:k]
         _presieve(flags, cur)
         # odd-index j of the first odd multiple of p from max(p*p, cur).
-        # The first multiple from cur is cur + t, t = -cur mod p; it is odd
-        # when t is even, else cur + t + p is, so j = t/2 or (t + p)/2 (one
+        # cur + 2j is an odd multiple of p exactly when 2j = -cur (mod p);
+        # p - cur is even, so j = ((p - cur)/2) mod p, the least such j (one
         # int64 modulo, the costly step of a short window).  The base is
         # sorted, so the primes with p*p >= cur are a suffix, and those with
         # p*p >= end miss the window altogether.
         s, e = square.searchsorted((cur, end)).tolist()
         p = base[:s]
-        t = -cur % p
-        j = (t + (t & 1) * p) >> 1
-        hit = j < k
+        j = ((p - cur) >> 1) % p
+        hit = np.flatnonzero(j < k)
         p, j = p[hit], j[hit]
         if e > s:
             p = np.concatenate((p, base[s:e]))

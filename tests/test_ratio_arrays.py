@@ -4,18 +4,24 @@ array, the lazy elements view, and the vectorised means over it.
 The oracles are trial division and Fraction arithmetic (tests/_oracles.py).
 The near-cap window sits just under MAX_SIEVE_LIMIT = 1e10, where a product
 of two primes passes 2^63, so an int64 product anywhere on these paths would
-show as a wrong sup, inf or mean.
+show as a wrong sup, inf or mean.  The reductions of a set run in blocks of
+at most sieve._BLOCK elements: their bits do not depend on the block size,
+and they hold a fixed buffer above the set's own arrays.
 """
 
+import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twinmeans import means, sieve, verify
+from twinmeans import analytic, means, sieve, verify
+from twinmeans.analytic import ProductMethod
 from twinmeans.errors import EmptySetError
 from twinmeans.means import MeanLimit, RatioElement, RatioElements, RatioSet
+from twinmeans.sieve import IntervalPrimes
 
 import _oracles as oracle
 
@@ -135,6 +141,111 @@ def test_ratio_element_list_is_refused():
     for which in MeanLimit:
         with pytest.raises(TypeError):
             means.mean_limit(listed, which)
+
+
+# ---------------------------------------------------------------------------
+# reductions in blocks
+
+SESSION_ALPHAS = [-800.0, -100.0, -10.0, -1.0, 1.0, 10.0, 100.0, 800.0]
+BLOCKS = [1, 2, 7, 1 << 14, 1 << 20]   # 2^20 holds every set here in one block
+# hand-made (primes, p_e); the excess k_n = p_{n+1} - 2 - p_n orders them
+CRAFTED = {
+    # sup is the smallest k/p, not the smallest k
+    "k_over_p": ([11, 15, 101], 107),
+    # k/p = 1/5, 2/7, 1/5, 7/26, 2/7: exact ties, the first of each must win
+    "exact_ties": ([10, 14, 20, 26, 35], 47),
+    # k = 2 throughout and every p rounds to 2^60, so every float k/p ties;
+    # the exact sup is the last element and the exact inf the first
+    "float_ties": ([2**60 + 1, 2**60 + 5, 2**60 + 9], 2**60 + 13),
+}
+REAL = {
+    "twins_11_17": (10, 20),   # twin pairs (11, 13) and (17, 19): one block each at sizes 1, 2
+    "twins_many": (1_000, 3_000),
+    "near_cap": NEAR_CAP,
+    "near_cap_twinless": NEAR_CAP_TWINLESS,
+}
+
+
+def interval(case: str) -> tuple[IntervalPrimes, list[tuple[int, int]]]:
+    """The case's interval primes, and its exact elements as (p, q - 2)
+    pairs from the oracle (real intervals) or from the definition."""
+    if case in CRAFTED:
+        ps, p_e = CRAFTED[case]
+        ip = IntervalPrimes(ps[0] - 1, ps[-1], np.array(ps, dtype=np.int64), ps[0], ps[-1], p_e)
+    else:
+        x, y = REAL[case]
+        ip = sieve.interval_primes(x, y)
+        ps = oracle.primes_between(x, y)
+        p_e = oracle.next_prime(ps[-1])
+    seq = ps + [p_e]
+    return ip, [(p, q - 2) for p, q in zip(seq, seq[1:])]
+
+
+def reductions(ip: IntervalPrimes) -> dict:
+    """Every reduction of a fresh ratio set of ip: exact pairs and float bits."""
+    rs = means.build_ratio_set(ip)
+    return {
+        "sup": (rs.sup.num, rs.sup.den),
+        "inf": (rs.inf.num, rs.inf.den),
+        "power": [means.power_mean(rs.elements, a).value.hex() for a in SESSION_ALPHAS],
+        "limits": [means.mean_limit(rs.elements, w).value.hex() for w in MeanLimit],
+        "log_t": [analytic.log_t_product(ip, m).hex() for m in ProductMethod],
+    }
+
+
+@pytest.mark.parametrize("case", [*CRAFTED, *REAL])
+def test_reductions_do_not_depend_on_block_size(monkeypatch, case):
+    ip, pairs = interval(case)
+    want = reductions(ip)
+    fracs = [Fraction(p, q) for p, q in pairs]
+    top, bottom = max(fracs), min(fracs)
+    assert want["sup"] == pairs[fracs.index(top)]      # the first element that attains it
+    assert want["inf"] == pairs[fracs.index(bottom)]
+    for a, got in zip(SESSION_ALPHAS, want["power"]):
+        assert float.fromhex(got) == pytest.approx(oracle.power_mean_exact(fracs, int(a)), rel=1e-14)
+    plus, minus, zero = (float.fromhex(want["limits"][i]) for i in (1, 2, 0))
+    assert (plus, minus) == (float(top), float(bottom))
+    assert zero == pytest.approx(float(math.prod(fracs)) ** (1 / len(fracs)), rel=1e-14)
+    if case in REAL:
+        log_t = math.fsum(math.log1p(float(f - 1)) for f in fracs)
+        for got in want["log_t"]:
+            assert float.fromhex(got) == pytest.approx(log_t, rel=1e-12)
+    for block in BLOCKS:
+        monkeypatch.setattr(sieve, "_BLOCK", block)
+        assert reductions(ip) == want
+
+
+def test_reductions_of_a_set_of_several_full_blocks(monkeypatch):
+    ip = sieve.interval_primes(10**6, 10**6 + 290_000)
+    assert 1 << 14 < ip.primes.size < 1 << 15
+    want = reductions(ip)
+    for block in (7, 1 << 20):
+        monkeypatch.setattr(sieve, "_BLOCK", block)
+        assert reductions(ip) == want
+
+
+def test_reductions_hold_a_fixed_buffer_above_the_set():
+    # 184,673 elements, 12 blocks: a float temporary the size of the set
+    # takes 1.4 MiB, above the bound
+    ip = sieve.interval_primes(10**7, 13 * 10**6)
+    rs = means.build_ratio_set(ip)
+    assert rs.primes.size * 8 > 1 << 20
+    rs.k, rs.values   # the set's own arrays: built untraced
+
+    def peak(run) -> int:
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    runs = [lambda: rs.sup, lambda: rs.inf]
+    runs += [lambda a=a: means.power_mean(rs.elements, a) for a in SESSION_ALPHAS]
+    runs += [lambda w=w: means.mean_limit(rs.elements, w) for w in MeanLimit]
+    runs += [lambda m=m: analytic.log_t_product(ip, m) for m in ProductMethod]
+    for run in runs:
+        assert peak(run) <= 1 << 20
 
 
 # ---------------------------------------------------------------------------
