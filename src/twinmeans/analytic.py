@@ -247,6 +247,7 @@ def prime_sums(
                     acc["C"].add(np.add(la[:c], a[:c], out=terms[:c]))
                 if "twin" in n:
                     acc["twin"].add(la[:tw])
+        del seg, blk    # freed before the stream's next step
     return {name: acc[name].value for name in lim}
 
 

@@ -223,7 +223,8 @@ def reduce_interval(
     """The ratio set of (x, y] reduced one block at a time.
 
     Each block of sieve.interval_windows is a RatioSet of its own, its last
-    element reaching into the next block, so every temporary is block-sized.
+    element reaching into the next block, so every temporary is block-sized;
+    the block and its set are dropped before the next block is asked for.
     Each adds its count, the log T terms of `methods` and, when asked, its
     exact sup and twin lower primes; the overall sup is the exact max of the
     block sups.  Every value equals that of the whole set (interval_primes).
@@ -241,12 +242,14 @@ def reduce_interval(
             t, n = primes[rs.k == 0], lower.size
             lower.resize(n + t.size, refcheck=False)
             lower[n:] = t
+        P = int(primes[-1])
+        del primes, rs      # freed before the next block is sieved
     if not count:
         raise EmptySetError(f"no primes in ({x}, {y}]")
     return IntervalReduction(
         count=count,
         p_s=product.p_s,
-        P=int(primes[-1]),
+        P=P,
         p_e=p_next,
         sup=max_element(sups) if sup else None,
         twin_lower=lower if twins else None,
@@ -374,5 +377,9 @@ def mean_limit(values: Values, which: MeanLimit) -> MeanValue:
 
         return MeanValue(alpha=0.0, value=math.exp(_block_sum(n, logs) / n), count=n)
     top = which is MeanLimit.PLUS_INF
-    vals, m = _terms(values, top, "mean limit")
-    return MeanValue(alpha=math.inf if top else -math.inf, value=m, count=int(vals.size))
+    if isinstance(values, RatioElements):   # the cached extreme: no values array
+        n, m = len(values), (max_element if top else min_element)(values).value
+    else:
+        vals, m = _terms(values, top, "mean limit")
+        n = int(vals.size)
+    return MeanValue(alpha=math.inf if top else -math.inf, value=m, count=n)

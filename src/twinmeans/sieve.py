@@ -16,14 +16,20 @@ period of those five primes in odd-index space, copied in at the window's
 phase (after primesieve's pre-sieve).  The base primes from 17 on mark the
 rest one of two ways.  If many of them hit the window a few times each (a
 short window), one scatter marks all their multiples.  Otherwise each prime
-marks its multiples with one strided slice.  Two readers take the flags:
+marks its multiples with one strided slice.  Windows are marked whole, but
+read in spans.  Two readers take the flags:
 
-- the primes reader (iter_prime_segments) turns them into primes with
-  nonzero.  It keeps nonzero on numpy's dense path: that switches to a
-  slower sparse path when at most 1/10 of the flags are set, as they are
-  past x ~ e^20, so the reader sets a few flags past the window first;
+- the primes reader (iter_prime_segments) turns each span of _SPAN flags
+  into one array of primes with nonzero, so no array of a window's primes
+  is ever built.  It keeps nonzero on numpy's dense path: that switches to
+  a slower sparse path when at most 1/10 of the flags are set, as they are
+  past x ~ e^20, so the reader sets a few flags past the span first and
+  puts them back after;
 - the count reader (prime_count, prime_summary) sums count_nonzero and
   builds no primes, except the few an ends summary asks for.
+
+Every streamed consumer drops the array it was given before it asks for
+the next, so while a window is marked no earlier span is held.
 
 An interval (x, y] is sieved in one call together with a short look-ahead
 past y, so its primes and the successor prime of y come from one pass.
@@ -240,7 +246,7 @@ def _marked_windows(
     integers each, with 2 (when lo < 2 <= hi) as a window of its own with
     cur = 2, k = 1.  buf is reused, so it is valid until the next step, and
     it holds k//9 + 1 spare flags past k that a reader may overwrite
-    (_window_primes).  Every reader of the sieve goes through here.  Raises
+    (_span_primes).  Every reader of the sieve goes through here.  Raises
     CapacityError when hi exceeds the cap (MAX_SIEVE_LIMIT unless overridden).
     """
     cap = MAX_SIEVE_LIMIT if max_limit is None else int(max_limit)
@@ -299,22 +305,37 @@ def _marked_windows(
         cur = end
 
 
-def _window_primes(cur: int, k: int, buf: np.ndarray) -> np.ndarray:
-    """The primes of one marked window, increasing int64 (the primes reader)."""
+def _span_primes(cur: int, k: int, buf: np.ndarray) -> np.ndarray:
+    """The primes of the k marked flags buf[:k], increasing int64, with
+    buf[j] standing for cur + 2j (the primes reader)."""
     n = int(np.count_nonzero(buf[:k]))
     if not n:
         return np.empty(0, dtype=np.int64)
     # numpy's nonzero on bools switches to a sparse memchr path, about 2.5x
     # slower here, when at most 1/10 of the flags are set; past x ~ e^20
-    # the odd primes are that sparse.  pad True flags past the window keep
+    # the odd primes are that sparse.  pad True flags past the span keep
     # more than 1/10 of the flags read set, (n + pad)*10 > k + pad, and the
-    # first n indices are the window's own.
+    # first n indices are the span's own.  The pad may cover the flags of
+    # the next span, so they are saved and put back.
     pad = max(0, (k - 10 * n) // 9 + 1)
+    saved = buf[k : k + pad].copy()
     buf[k : k + pad] = True
     block = buf[: k + pad].nonzero()[0][:n].astype(np.int64, copy=False)
+    buf[k : k + pad] = saved
     block *= 2
     block += cur
     return block
+
+
+def _spans(cur: int, k: int, buf: np.ndarray) -> Iterator[np.ndarray]:
+    """The primes of one marked window, one nonempty array per span of
+    _SPAN flags (2*_SPAN integers); each is freed before the next is read."""
+    span = _SPAN
+    for s in range(0, k, span):
+        block = _span_primes(cur + 2 * s, min(span, k - s), buf[s:])
+        if block.size:
+            yield block
+        del block
 
 
 def iter_prime_segments(
@@ -322,17 +343,15 @@ def iter_prime_segments(
 ) -> Iterator[np.ndarray]:
     """Yield the primes p with lo < p <= hi as increasing int64 arrays.
 
-    The arrays are the primes of consecutive windows of DEFAULT_SEGMENT_SIZE
-    integers; a window without a prime yields nothing.  Window boundaries
-    never change the concatenated output, only how much memory a window
-    takes.  Raises CapacityError when hi exceeds the cap (MAX_SIEVE_LIMIT
-    unless overridden).
+    Each window of DEFAULT_SEGMENT_SIZE integers is marked whole and read in
+    spans of _SPAN flags, one array per span that holds a prime, so an
+    array holds one span's primes, never a window's.  Window and span
+    boundaries never change the concatenated output, only how much memory
+    a step takes.  Raises CapacityError when hi exceeds the cap
+    (MAX_SIEVE_LIMIT unless overridden).
     """
     for window in _marked_windows(lo, hi, max_limit):
-        block = _window_primes(*window)
-        if block.size:
-            yield block
-        del block   # freed before the next window is marked
+        yield from _spans(*window)
 
 
 def prime_stream(hi: int, *, cache: Optional[PrimeFile] = None) -> Iterator[np.ndarray]:
@@ -409,7 +428,10 @@ def prime_summary(
         n = int(np.count_nonzero(buf[:k]))
         count += n
         if n and len(head) < ends:
-            head += _window_primes(cur, k, buf)[: ends - len(head)].tolist()
+            for block in _spans(cur, k, buf):
+                head += block[: ends - len(head)].tolist()
+                if len(head) == ends:
+                    break
         if n and ends:
             tail = (tail + _last_primes(cur, buf[:k], ends))[-ends:]
     return count, head, tail
@@ -451,10 +473,23 @@ def next_prime_after(n: int) -> int:
 # peaked 1.3-2.4 MB higher (medians of 7; 2 cores, numpy 2.4, Python 3.11).
 _BLOCK = 1 << 14
 
+# Flags per span of the primes reader (iter_prime_segments), read at call
+# time: 2^18 integers, 8 blocks' worth of flags.  Near 1e8 to 1e9 a span
+# holds 12K-15K primes, one block, where a whole window's primes took
+# ~0.85 MB.  The spans add ~8 short nonzero calls per window, within the
+# noise of the streamed reports' timings.
+_SPAN = 8 * _BLOCK
+
 
 def _interval_pass(x: int, y: int) -> Iterator[tuple[np.ndarray, int]]:
     """interval_windows, except that an interval without primes yields one
-    (empty, p_e) from the same pass instead of nothing."""
+    (empty, p_e) from the same pass instead of nothing.
+
+    The primes come one span at a time (iter_prime_segments) and each span
+    is cut into blocks of at most _BLOCK primes.  Each block waits for the
+    next one's first prime; a span's last block waits as a copy, unless it
+    is the whole span, so no span's array is kept for a part of it.
+    """
     x, y = int(x), int(y)
     if not 0 < x < y:
         raise ValueError("need 0 < x < y")
@@ -471,24 +506,30 @@ def _interval_pass(x: int, y: int) -> Iterator[tuple[np.ndarray, int]]:
         if cut < seg.size:      # seg[cut] is the first prime past y
             yield held, int(seg[cut])
             return
-        held = held.copy()      # so that the window's array is not kept for it
+        if held.size < seg.size:    # a copy, so that the span's array is not kept for a part
+            held = held.copy()
         del seg
     yield held, next_prime_after(hi)
 
 
 def interval_windows(x: int, y: int) -> Iterator[tuple[np.ndarray, int]]:
     """Yield (primes, p_next) for each block of the primes in (x, y]: at
-    most _BLOCK primes of one sieve window, and the prime after the last.
+    most _BLOCK primes of one span of a sieve window (iter_prime_segments),
+    and the prime after the last.
 
     One sieve pass over (x, y + w], w = _probe_width(y), gives both; only
     when (y, y + w] holds no prime does next_prime_after search on.  The
-    last block of a window waits for the next window's first prime as a
-    copy, so no window is held back.  An interval without primes yields
-    nothing.  The cap applies to y; the look-ahead past y may pass it.
+    last block of a span waits for the next span's first prime, as a copy
+    when it is only part of the span, and a block is dropped here before
+    the next step, so a consumer that drops it too holds no span or window
+    while the next one is sieved.  An interval without primes yields
+    nothing.  The cap applies to y; the
+    look-ahead past y may pass it.
     """
     for primes, p_next in _interval_pass(x, y):
         if primes.size:
             yield primes, p_next
+        del primes
 
 
 def interval_primes(x: int, y: int) -> IntervalPrimes:
@@ -530,7 +571,9 @@ def max_gap_up_to(limit: int, *, cache: Optional[PrimeFile] = None) -> GapRecord
             i = int(np.argmax(gaps))   # argmax takes the first maximum: earliest tie
             if int(gaps[i]) > best_gap:
                 best_gap, best_lower = int(gaps[i]), int(seg[i])
+            del gaps
         prev = int(seg[-1])
+        del seg     # freed before the next step is sieved or read
     return GapRecord(limit=limit, gap=best_gap, lower_prime=best_lower)
 
 
@@ -559,7 +602,8 @@ def twin_pairs_in(x: int, y: int) -> np.ndarray:
         t, n = head[arr[idx] == head + 2], lower.size   # arr <= y + 2, so head <= y
         lower.resize(n + t.size, refcheck=False)
         lower[n:] = t
-        carry = arr[-1:]
+        carry = arr[-1:].copy()    # a view would keep arr
+        del seg, arr, head, idx, t
     return lower
 
 
@@ -583,8 +627,10 @@ def save_cache(limit: int, path: str) -> PrimeFile:
             fh.write(CACHE_MAGIC + bytes([CACHE_VERSION]) + _CACHE_HEADER.pack(limit, 0))
             count = 0
             for w in iter_prime_segments(1, limit):
-                w.astype("<u8", copy=False).tofile(fh)
+                # the bytes of u64 for entries >= 0, and no copy of int64
+                w.astype("<i8", copy=False).tofile(fh)
                 count += w.size
+                del w
             fh.seek(len(CACHE_MAGIC) + 1)
             fh.write(_CACHE_HEADER.pack(limit, count))
         os.replace(tmp, path)

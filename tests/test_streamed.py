@@ -33,8 +33,10 @@ from twinmeans.verify import Theorem1Row, TwinPairs
 import _oracles as oracle
 
 SEGMENT_SIZES = [2**12, 2**16, 2**23]
-# theorem1_report(1e8, 4.0) peaks at 3.8 MiB streamed in blocks (segment
-# 2^21), at 6.1 MiB when each whole window waited for the next, and at
+# theorem1_report(1e8, 4.0) peaks at 2.5 MiB streamed in blocks read from
+# spans of each window (segment 2^21; test_spans.py bounds it at 3 MiB), at
+# 3.8 MiB when a window's primes were one array and the consumers held their
+# last block, at 6.1 MiB when each whole window waited for the next, and at
 # 40 MiB on the materialised route; its 1,308,577 primes alone take 10 MiB.
 REPORT_1E8_PEAK_MIB = 12
 REPORT_1E8_BLOCKED_PEAK_MIB = 5
