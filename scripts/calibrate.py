@@ -47,7 +47,7 @@ def main():
     # interval-product envelope
     print("\ninterval-product envelope (r = |T * x^(beta-1)/beta^2 - 1|):")
     for x in (10**6, 10**7):
-        chk, bs, _ = timed(f"t_product({x:.0e})", lambda x=x: analytic.lemma2_report(x, 1.0))
+        chk, bs, _ = timed(f"t_product({x:.0e})", lambda x=x: verify.lemma2_report(x, 1.0))
         t = chk.observed
         r = abs(t * math.exp((bs.beta - 1.0) * math.log(x)) / bs.beta**2 - 1.0)
         print(f"  x={x:<10} r={r:.6e}  r*log^2x={r * math.log(x) ** 2:.6f}")

@@ -16,16 +16,13 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import sieve
 from .errors import EmptySetError
 from .sieve import IntervalPrimes, PrimeFile, prime_stream
-
-if TYPE_CHECKING:
-    from .verify import BetaSpec
 
 # Euler-Mascheroni constant, 30 significant digits.
 EULER_GAMMA = 0.577215664901532860606512090082
@@ -408,25 +405,3 @@ def log_t_product(
         prod.add(ps[i : i + k.size], k)
     return prod.log_t(method, ip.p_e)
 
-
-def lemma2_report(x: int, c: float) -> tuple[AsymptoticCheck, BetaSpec, float]:
-    """The interval ratio product T over (x, y], y = floor(x^beta), against
-    beta^2/x^(beta-1); its BetaSpec; and the DIRECT product relative to the
-    TELESCOPED one minus 1.  One streamed pass over the interval reduces its
-    primes block by block and never holds them whole."""
-    from .means import reduce_interval   # deferred: means and verify build on this module
-    from .verify import beta_for
-
-    spec = beta_for(x, c)
-    iv = reduce_interval(x, spec.y, tuple(ProductMethod))
-    obs = math.exp(iv.log_t(ProductMethod.DIRECT))
-    tele = math.exp(iv.log_t(ProductMethod.TELESCOPED))
-    # x^(beta-1) = exp(c/log x), computed without the 1 + tiny exponent round trip
-    pred = spec.beta**2 / math.exp(c / math.log(x))
-    return AsymptoticCheck(
-        x=int(x),
-        observed=obs,
-        predicted=pred,
-        scaled_residual=obs / pred - 1.0,
-        scale_note="observed/predicted - 1; expected O(1/log^2 x)",
-    ), spec, obs / tele - 1.0

@@ -283,7 +283,7 @@ def _cmd_lemma1(args) -> int:
 
 
 def _cmd_lemma2(args) -> int:
-    chk, bs, rel_diff = analytic.lemma2_report(args.x, args.c)
+    chk, bs, rel_diff = verify.lemma2_report(args.x, args.c)
     _emit(args, to_payload(chk, c=args.c, beta=bs.beta, y=bs.y, telescoped_rel_diff=rel_diff))
     return 0
 

@@ -29,17 +29,19 @@ read in spans.  Two readers take the flags:
   builds no primes, except the few an ends summary asks for.
 
 Every streamed consumer drops the array it was given before it asks for
-the next, so while a window is marked no earlier span is held.
+the next, so while a window is marked no earlier span is held but the one
+an interval pass holds back for its successor prime.
 
 An interval (x, y] is sieved in one call together with a short look-ahead
 past y, so its primes and the successor prime of y come from one pass.
+Each span, clipped at y, is one block of the interval (interval_windows).
 
 A TPC1 cache file is never loaded whole.  load_cache validates it in one
-pass over fixed-size blocks and returns a PrimeFile handle; prime_stream
-and prime_summary then read the file one window, or a few entries, at a
-time.  A missing or rejected cache is written straight from the sieve
-windows (save_cache), so neither reading nor building a cache holds every
-prime.
+pass of reads of at most _BLOCK entries each and returns a PrimeFile
+handle; prime_stream then reads the file the same way, one block at a
+time, and prime_summary reads a few entries.  A missing or rejected cache
+is written straight from the sieve spans (save_cache), so neither reading
+nor building a cache holds every prime.
 
 Results are int64 numpy arrays throughout.  A prime itself fits int64 with
 room to spare, but a product of two primes does not: near the
@@ -68,7 +70,7 @@ from .errors import CacheFormatError, CapacityError
 # 200 times or more each on average, where one scatter pays only below 32
 # (_marked_windows).  Read at call time, never bound at import or as a
 # default argument, so that patching it (to any size >= 2) reaches the
-# kernel and the cache windows (prime_stream).
+# kernel and the windows load_cache sieves again.
 DEFAULT_SEGMENT_SIZE = 1 << 21
 MAX_SIEVE_LIMIT = 10**10
 
@@ -76,15 +78,6 @@ CACHE_MAGIC = b"TPC1"
 CACHE_VERSION = 1
 _CACHE_HEADER = struct.Struct("<QQ")   # limit, count (little-endian u64)
 _CACHE_HEAD = len(CACHE_MAGIC) + 1 + _CACHE_HEADER.size   # payload offset, 21
-# Entries per read while load_cache validates a file: 4 MiB.  Freeing a
-# block this size also spares the window reads that follow from faulting
-# in fresh pages: glibc raises its mmap threshold to the largest block
-# freed and trims the heap only past twice that, so the ~1 MB windows read
-# from the file then reuse the heap.  In process, load_cache plus
-# mertens_report(1e8, 1e8) from the cache takes 1.8K minor faults and
-# peaks at 34.8 MB with 4 MiB blocks; 1 MiB blocks save 1 MB of peak but
-# take 2.7K faults.
-_CACHE_BLOCK = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -93,9 +86,10 @@ class PrimeFile:
     entries, which load_cache has validated.
 
     The handle holds no primes.  Each read opens the file, seeks and reads
-    only what it asks for, so serving a cache takes one window of memory
-    however large the file is.  A read that comes back short (the file was
-    truncated or replaced since) raises CacheFormatError.
+    only what it asks for, at most _BLOCK entries at a time (_read_blocks),
+    so serving a cache takes one block of memory however large the file is.
+    A read that comes back short (the file was truncated or replaced since)
+    raises CacheFormatError.
     """
 
     path: str
@@ -106,12 +100,11 @@ class PrimeFile:
     # the number of entries <= v, and entries [a, b).
     def _upto(self, v: int) -> int:
         lo, hi = 0, self.count      # binary search, one 8-byte read a probe
-        probe = np.empty(1, dtype=np.int64)
         with open(self.path, "rb") as fh:
             while lo < hi:
                 mid = (lo + hi) // 2
                 fh.seek(_CACHE_HEAD + 8 * mid)
-                if _read_entries(fh, probe)[0] <= v:
+                if _read_entries(fh, 1)[0] <= v:
                     lo = mid + 1
                 else:
                     hi = mid
@@ -120,14 +113,25 @@ class PrimeFile:
     def _entries(self, a: int, b: int) -> np.ndarray:
         with open(self.path, "rb") as fh:
             fh.seek(_CACHE_HEAD + 8 * a)
-            return _read_entries(fh, np.empty(b - a, dtype=np.int64))
+            return _read_entries(fh, b - a)
 
 
-def _read_entries(fh, out: np.ndarray) -> np.ndarray:
-    """Fill the int64 array `out` with the next entries of an open cache file."""
+def _read_entries(fh, n: int) -> np.ndarray:
+    """The next n entries of an open cache file, as one new int64 array."""
+    out = np.empty(n, dtype=np.int64)
     if fh.readinto(out) != out.nbytes:
         raise CacheFormatError("cache file truncated")
     return out
+
+
+def _read_blocks(fh, n: int) -> Iterator[np.ndarray]:
+    """The next n entries of an open cache file, in order: one new int64
+    array of at most _BLOCK entries per read, each freed before the next
+    is read."""
+    for a in range(0, n, _BLOCK):
+        block = _read_entries(fh, min(_BLOCK, n - a))
+        yield block
+        del block
 
 
 @dataclass(eq=False)
@@ -357,18 +361,14 @@ def iter_prime_segments(
 def prime_stream(hi: int, *, cache: Optional[PrimeFile] = None) -> Iterator[np.ndarray]:
     """Primes up to hi, served from `cache` when it covers them.
 
-    A cache is served in the windows (1, 1 + S], (1 + S, 1 + 2*S], ...
-    with S = DEFAULT_SEGMENT_SIZE, one sequential read each, so what a
-    consumer builds per window stays window-sized either way.
+    A cache serves its entries <= hi from one open file, in order, one
+    read of at most _BLOCK entries at a time (_read_blocks), so what a
+    consumer builds per array stays block-sized either way.
     """
     if cache is not None and cache.limit >= hi:
-        seg = DEFAULT_SEGMENT_SIZE
-        a = 0
-        for end in range(1 + seg, hi + seg, seg):
-            b = cache._upto(min(end, hi))
-            if b > a:
-                yield cache._entries(a, b)
-            a = b
+        with open(cache.path, "rb") as fh:
+            fh.seek(_CACHE_HEAD)
+            yield from _read_blocks(fh, cache._upto(hi))
         return
     yield from iter_prime_segments(1, hi)
 
@@ -464,19 +464,20 @@ def next_prime_after(n: int) -> int:
         window *= 2
 
 
-# Primes per block of an interval pass (_interval_pass) and of prime_sums
-# (analytic), read at call time; a block's float temporaries take 128 KB
-# each.  Per-window temporaries had glibc trim and refault the heap: in
-# process, mertens_report(1e8, 1e8) took 26.8K minor faults and peaked
-# 3.9 MB higher than with blocks (1.5K).  lemma1_report(1e8, 1e8) took
-# 0.290 s with 2^13, 0.268 s with 2^14 and 0.270 s with 2^16, and 2^16
-# peaked 1.3-2.4 MB higher (medians of 7; 2 cores, numpy 2.4, Python 3.11).
+# Entries per cache read (_read_blocks) and primes per block of prime_sums
+# (analytic) and the ratio-set reductions (means), read at call time: 128 KB
+# an array.  Per-window temporaries had glibc trim and refault the heap: in
+# process, mertens_report(1e8, 1e8) took 26.8K minor faults and peaked 3.9
+# MB higher than with blocks (1.5K).  lemma1_report(1e8, 1e8) took 0.290 s
+# with 2^13, 0.268 s with 2^14 and 0.270 s with 2^16, and 2^16 peaked
+# 1.3-2.4 MB higher (medians of 7; 2 cores, numpy 2.4, Python 3.11).
 _BLOCK = 1 << 14
 
 # Flags per span of the primes reader (iter_prime_segments), read at call
-# time: 2^18 integers, 8 blocks' worth of flags.  Near 1e8 to 1e9 a span
-# holds 12K-15K primes, one block, where a whole window's primes took
-# ~0.85 MB.  The spans add ~8 short nonzero calls per window, within the
+# time: 2^18 integers, 8 blocks' worth of flags, read where a whole
+# window's primes took ~0.85 MB.  A span is one block of an interval pass:
+# 12.6K-14.2K primes on average near 1e8 to 1e9, up to pi(2^18) = 23,000
+# below ~1e7.  The spans add ~8 short nonzero calls per window, within the
 # noise of the streamed reports' timings.
 _SPAN = 8 * _BLOCK
 
@@ -485,10 +486,8 @@ def _interval_pass(x: int, y: int) -> Iterator[tuple[np.ndarray, int]]:
     """interval_windows, except that an interval without primes yields one
     (empty, p_e) from the same pass instead of nothing.
 
-    The primes come one span at a time (iter_prime_segments) and each span
-    is cut into blocks of at most _BLOCK primes.  Each block waits for the
-    next one's first prime; a span's last block waits as a copy, unless it
-    is the whole span, so no span's array is kept for a part of it.
+    Each span of iter_prime_segments, clipped at y, is one block, and it
+    waits whole for the next span's first prime.
     """
     x, y = int(x), int(y)
     if not 0 < x < y:
@@ -498,33 +497,28 @@ def _interval_pass(x: int, y: int) -> Iterator[tuple[np.ndarray, int]]:
     hi = y + _probe_width(y)
     held = np.empty(0, dtype=np.int64)
     for seg in iter_prime_segments(x, hi, max_limit=hi):
+        if held.size:
+            yield held, int(seg[0])
         cut = int(np.searchsorted(seg, y, side="right"))
-        for i in range(0, cut, _BLOCK):     # each block waits for the next one's first prime
-            if held.size:
-                yield held, int(seg[i])
-            held = seg[i : min(i + _BLOCK, cut)]
         if cut < seg.size:      # seg[cut] is the first prime past y
-            yield held, int(seg[cut])
+            if cut or not held.size:    # empty only for an interval without primes
+                yield seg[:cut], int(seg[cut])
             return
-        if held.size < seg.size:    # a copy, so that the span's array is not kept for a part
-            held = held.copy()
-        del seg
+        held = seg
     yield held, next_prime_after(hi)
 
 
 def interval_windows(x: int, y: int) -> Iterator[tuple[np.ndarray, int]]:
-    """Yield (primes, p_next) for each block of the primes in (x, y]: at
-    most _BLOCK primes of one span of a sieve window (iter_prime_segments),
-    and the prime after the last.
+    """Yield (primes, p_next) for each block of the primes in (x, y]: the
+    primes of one span of a sieve window (iter_prime_segments), clipped at
+    y, and the prime after the last.
 
     One sieve pass over (x, y + w], w = _probe_width(y), gives both; only
-    when (y, y + w] holds no prime does next_prime_after search on.  The
-    last block of a span waits for the next span's first prime, as a copy
-    when it is only part of the span, and a block is dropped here before
-    the next step, so a consumer that drops it too holds no span or window
-    while the next one is sieved.  An interval without primes yields
-    nothing.  The cap applies to y; the
-    look-ahead past y may pass it.
+    when (y, y + w] holds no prime does next_prime_after search on.  A
+    block waits for the next span's first prime and is dropped here before
+    the next step, so a consumer that drops it too holds none while the
+    next span is sieved.  An interval without primes yields nothing.  The
+    cap applies to y; the look-ahead past y may pass it.
     """
     for primes, p_next in _interval_pass(x, y):
         if primes.size:
@@ -611,8 +605,8 @@ def save_cache(limit: int, path: str) -> PrimeFile:
     """Write the TPC1 cache file of the primes up to `limit` (atomic
     replace) and return a handle on it.
 
-    The primes are sieved and written window by window, so the build holds
-    one window of primes, not all of them.  The header goes first with
+    The primes are sieved and written span by span, so the build holds
+    one span of primes, not all of them.  The header goes first with
     count 0 and is patched once the count is known; the file is then
     renamed into place.
     On any exception, interrupts included, the temporary file is removed,
@@ -641,33 +635,21 @@ def save_cache(limit: int, path: str) -> PrimeFile:
     return PrimeFile(path=path, limit=limit, count=count)
 
 
-def _check_entries(fh, count: int, limit: int) -> None:
-    """Check that the next `count` entries of an open cache file increase
-    strictly and lie in (1, limit], reading them into one buffer of
-    _CACHE_BLOCK entries.  Read as int64, a u64 entry past 2^63 turns
-    negative, which the check from 1 upwards rejects too."""
-    last = 1
-    buf = np.empty(min(_CACHE_BLOCK, count), dtype=np.int64)
-    for a in range(0, count, _CACHE_BLOCK):
-        block = _read_entries(fh, buf[: count - a])
-        if int(block[0]) <= last or np.any(block[1:] <= block[:-1]) or int(block[-1]) > limit:
-            raise CacheFormatError("cache primes not strictly increasing within limit")
-        last = int(block[-1])
-
-
 def load_cache(path: str) -> PrimeFile:
     """Validate a TPC1 cache file and return a handle on it.
 
-    One pass reads the file into one buffer of _CACHE_BLOCK entries, so it
-    takes one block of memory whatever the size of the file.  It checks magic,
-    version, payload size against the recorded count, strict monotonicity
-    within each block and across block boundaries, and that every entry
-    lies in (1, limit].  Then the content of the first and the last
-    DEFAULT_SEGMENT_SIZE window of (1, limit] is checked: both are sieved
-    again and must equal the stored entries.  A prime missing or added in
-    between is not seen; a whole-file check against an independent prime
-    count is still open (ROADMAP, item 2), and this pass is where it goes.
-    Any failure raises CacheFormatError so the caller can rebuild.
+    The header is checked first: magic, version, a limit within
+    MAX_SIEVE_LIMIT, and the payload size against the recorded count.  Then
+    one pass reads the entries in blocks of at most _BLOCK (_read_blocks),
+    so it takes one block of memory whatever the size of the file, and
+    checks that they increase strictly, within and across blocks, and lie
+    in (1, limit]; read as int64, a u64 entry past 2^63 turns negative,
+    which that rejects too.  Then the first and the last DEFAULT_SEGMENT_SIZE
+    window of (1, limit] are sieved again one span at a time, and every
+    span must equal the stored entries read beside it.  A prime missing or
+    added in between is not seen; a whole-file check against an independent
+    prime count is still open (ROADMAP, item 2), and this pass is where it
+    goes.  Any failure raises CacheFormatError so the caller can rebuild.
     """
     with open(path, "rb") as fh:
         blob = fh.read(_CACHE_HEAD)
@@ -678,17 +660,28 @@ def load_cache(path: str) -> PrimeFile:
         if blob[len(CACHE_MAGIC)] != CACHE_VERSION:
             raise CacheFormatError(f"unsupported cache version {blob[len(CACHE_MAGIC)]}")
         limit, count = _CACHE_HEADER.unpack_from(blob, len(CACHE_MAGIC) + 1)
+        if limit > MAX_SIEVE_LIMIT:
+            raise CacheFormatError(f"cache limit {limit} exceeds {MAX_SIEVE_LIMIT}")
         if os.fstat(fh.fileno()).st_size - _CACHE_HEAD != 8 * count:
             raise CacheFormatError("cache payload size does not match recorded count")
-        _check_entries(fh, count, limit)
-    if limit > MAX_SIEVE_LIMIT:
-        raise CacheFormatError(f"cache limit {limit} exceeds {MAX_SIEVE_LIMIT}")
-    pf = PrimeFile(path=path, limit=int(limit), count=int(count))
-    seg = DEFAULT_SEGMENT_SIZE
-    for lo, hi in {(1, min(limit, 1 + seg)), (max(1, limit - seg), limit)}:
-        stored = pf._entries(pf._upto(lo), pf._upto(hi))
-        sieved = np.concatenate([np.empty(0, np.int64), *iter_prime_segments(lo, hi)])
-        if not np.array_equal(stored, sieved):
+        last = 1
+        for block in _read_blocks(fh, count):
+            if int(block[0]) <= last or np.any(block[1:] <= block[:-1]) or int(block[-1]) > limit:
+                raise CacheFormatError("cache primes not strictly increasing within limit")
+            last = int(block[-1])
+        pf = PrimeFile(path=path, limit=int(limit), count=int(count))
+        seg = DEFAULT_SEGMENT_SIZE
+        for lo, hi in {(1, min(limit, 1 + seg)), (max(1, limit - seg), limit)}:
+            a, b = pf._upto(lo), pf._upto(hi)
+            fh.seek(_CACHE_HEAD + 8 * a)
+            for span in iter_prime_segments(lo, hi):
+                a += span.size
+                if a > b or not np.array_equal(_read_entries(fh, span.size), span):
+                    break
+                del span
+            else:   # every span matched: so must the count
+                if a == b:
+                    continue
             raise CacheFormatError(f"cache primes in ({lo}, {hi}] differ from a fresh sieve")
     return pf
 
@@ -698,7 +691,7 @@ def cached_primes_up_to(limit: int, path: str) -> PrimeFile:
 
     A valid cache with a limit at least as large serves a prefix: a handle
     on its entries <= limit.  Anything else (missing, corrupt, too small)
-    is sieved and written again window by window (save_cache), so neither
+    is sieved and written again span by span (save_cache), so neither
     the read nor the rebuild holds every prime.  A file that load_cache
     rejects is reported with a RuntimeWarning, naming the path and the
     reason, before it is replaced; a missing or too small one is not.

@@ -1,12 +1,13 @@
-"""Interval mean reports and the exact twin-pair criterion.
+"""Interval reports and the exact twin-pair criterion.
 
 The criterion is decided in exact rationals: the sup of a ratio set (exact,
 see means.RatioSet) and the threshold P/(P+2) are compared as Fractions, and
 the resulting decision is required to match a brute-force twin scan of the
-same interval.  An interval report sieves its interval once and reduces it
-block by block (means.reduce_interval): count, sup, product and twin lower
-primes come from one pass whose temporaries are block-sized, so its memory
-grows with the interval only by the twin pairs, 8 bytes each.
+same interval.  An interval report (theorem1_report, lemma2_report) sieves
+its interval (x, x^beta] once and reduces it block by block
+(means.reduce_interval): count, sup, products and twin lower primes come
+from one pass whose temporaries are block-sized, so its memory grows with
+the interval only by the twin pairs, 8 bytes each.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import means, sieve
-from .analytic import ProductMethod
+from .analytic import AsymptoticCheck, ProductMethod
 
 # accepted window for the interval-exponent parameter c, and the smallest x
 C_RANGE = (0.1, 4.0)
@@ -175,6 +176,26 @@ def theorem1_report(x: int, c: float) -> Theorem1Row:
         residual_approx_pi=bs.x_beta * -math.expm1(log_t / pi_approx) / c - 1.0,
         twin_pairs=TwinPairs(iv.twin_lower),
     )
+
+
+def lemma2_report(x: int, c: float) -> tuple[AsymptoticCheck, BetaSpec, float]:
+    """The interval ratio product T over (x, y], y = floor(x^beta), against
+    beta^2/x^(beta-1); its BetaSpec; and the DIRECT product relative to the
+    TELESCOPED one minus 1.  One streamed pass over the interval reduces its
+    primes block by block and never holds them whole."""
+    spec = beta_for(x, c)
+    iv = means.reduce_interval(x, spec.y, tuple(ProductMethod))
+    obs = math.exp(iv.log_t(ProductMethod.DIRECT))
+    tele = math.exp(iv.log_t(ProductMethod.TELESCOPED))
+    # x^(beta-1) = exp(c/log x), computed without the 1 + tiny exponent round trip
+    pred = spec.beta**2 / math.exp(c / math.log(x))
+    return AsymptoticCheck(
+        x=int(x),
+        observed=obs,
+        predicted=pred,
+        scaled_residual=obs / pred - 1.0,
+        scale_note="observed/predicted - 1; expected O(1/log^2 x)",
+    ), spec, obs / tele - 1.0
 
 
 def twin_criterion(x: int, y: int) -> CriterionReport:

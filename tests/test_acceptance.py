@@ -114,7 +114,7 @@ def test_criterion_04_twin_product_envelope(consts):
 
 
 def test_criterion_05_product_route_identity():
-    rel = abs(analytic.lemma2_report(10**6, 1.0)[2])   # DIRECT / TELESCOPED - 1
+    rel = abs(verify.lemma2_report(10**6, 1.0)[2])   # DIRECT / TELESCOPED - 1
     print(f"criterion 5: route disagreement at 1e6 = {rel:.2e}")
     assert rel <= 1e-12
 
@@ -137,7 +137,7 @@ def test_criterion_05_product_route_identity():
 
 def test_criterion_06_interval_product_envelope():
     for x in (10**6, 10**7):
-        chk, bs, _ = analytic.lemma2_report(x, 1.0)
+        chk, bs, _ = verify.lemma2_report(x, 1.0)
         tp = chk.observed
         r = abs(tp * math.exp((bs.beta - 1.0) * math.log(x)) / bs.beta**2 - 1.0)
         print(

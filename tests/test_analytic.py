@@ -5,6 +5,8 @@ mpmath arithmetic over trial-division prime lists (see _oracles.py for the
 prime generation); they are exact to well beyond double precision.
 """
 
+import ast
+import inspect
 import math
 import random
 from fractions import Fraction
@@ -288,7 +290,7 @@ def test_lemma1_check_formula():
 
 
 def test_lemma2_check_formula():
-    chk, bs, _ = analytic.lemma2_report(100, 1.0)
+    chk, bs, _ = verify.lemma2_report(100, 1.0)
     assert bs == verify.beta_for(100, 1.0)
     assert chk.observed == pytest.approx(
         t_product(100, bs.y, ProductMethod.DIRECT), rel=1e-15
@@ -299,3 +301,15 @@ def test_lemma2_check_formula():
     assert chk.scaled_residual == pytest.approx(
         chk.observed / chk.predicted - 1.0, rel=1e-12
     )
+
+
+def test_analytic_imports_no_layer_above_it():
+    # means and verify build on analytic; the interval reports live in verify
+    tree = ast.parse(inspect.getsource(analytic))
+    imported = {
+        node.module or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+    }
+    assert imported == {"sieve", "errors"}

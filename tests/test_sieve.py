@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
-from twinmeans import sieve
+from twinmeans import analytic, sieve
 from twinmeans.errors import CacheFormatError, CapacityError
 
 import _oracles as oracle
@@ -359,11 +359,14 @@ def test_cache_served_as_segment_views(tmp_path, monkeypatch):
     small = sieve.cached_primes_up_to(5_000, path)
     assert (small.path, small.count) == (path, 669)   # a prefix of the same file
     assert _stored(small) == oracle.primes_upto(5_000)
+    monkeypatch.setattr(sieve, "_BLOCK", 100)     # the 1,229 entries take 13 reads
     for lo, hi, seg in [(1, 10_000, 16), (100, 9_000, 1000), (7, 8, 16), (1, 10_000, 1 << 21)]:
         monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", seg)
         views = list(sieve.prime_stream(hi, cache=ps))
         assert all(v.size and v.dtype == np.int64 for v in views)
-        assert all(v[-1] - v[0] < seg for v in views)
+        # one read of at most _BLOCK entries each, whatever the window size
+        assert [v.size for v in views[:-1]] == [sieve._BLOCK] * (len(views) - 1)
+        assert len(views) == -(-len(oracle.primes_upto(hi)) // sieve._BLOCK)
         served = np.concatenate(views or [[]]).tolist()
         assert served == oracle.primes_upto(hi)
         # the cache's own search finds (lo, hi]
@@ -404,29 +407,45 @@ def test_cache_with_a_prime_missing_is_rejected_and_rebuilt(tmp_path):
     assert _stored(sieve.load_cache(path)) == oracle.primes_upto(100)
 
 
-@pytest.mark.parametrize("where", ["first", "last"])
-@pytest.mark.parametrize("fault", ["drop", "composite"])
+@pytest.mark.parametrize("where", ["first", "last", "middle"])
+@pytest.mark.parametrize("fault", ["drop", "composite", "replace"])
 def test_cache_content_checked_in_first_and_last_window(tmp_path, monkeypatch, where, fault):
+    # windows of 1,000 integers, re-sieved in spans of 100: load_cache sieves
+    # the last window (19000, 20000] again, and 19,500 ("middle") lies in its
+    # fifth span
     monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", 1_000)
+    monkeypatch.setattr(sieve, "_SPAN", 50)
     path = str(tmp_path / "p.tpc")
     primes = sieve.primes_up_to(20_000)
     _write_raw(path, limit=20_000, primes=primes)
     sieve.load_cache(path)   # the honest file passes
-    i = 20 if where == "first" else primes.size - 20
+    i = {"first": 20, "last": primes.size - 20}.get(where, int(np.searchsorted(primes, 19_500)))
+    odd = primes[i] + 2 if primes[i] % 3 == 1 else primes[i] + 4   # a multiple of 3
+    assert not oracle.is_prime(int(odd)) and odd < primes[i + 2]
     if fault == "drop":
         bad = np.delete(primes, i)
-    else:   # an odd composite between two primes
-        bad = np.insert(primes, i + 1, primes[i] + 2 if primes[i] % 3 == 1 else primes[i] + 4)
-        assert not oracle.is_prime(int(bad[i + 1])) and bad[i + 1] < bad[i + 2]
+    elif fault == "composite":   # an odd composite between two primes
+        assert odd < primes[i + 1]
+        bad = np.insert(primes, i + 1, odd)
+    else:   # in place of a prime: the count stays, only the content is wrong
+        bad = primes.copy()
+        bad[i + 1] = odd
     _write_raw(path, limit=20_000, primes=bad)
-    with pytest.raises(CacheFormatError):
+    with pytest.raises(CacheFormatError, match="fresh sieve"):
         sieve.load_cache(path)
 
 
-def test_cache_limit_past_the_cap_is_rejected(tmp_path):
+def test_cache_limit_past_the_cap_is_rejected(tmp_path, monkeypatch):
     path = str(tmp_path / "p.tpc")
     _write_raw(path, limit=sieve.MAX_SIEVE_LIMIT + 1)
-    with pytest.raises(CacheFormatError, match="exceeds"):
+
+    def no_read(*args):     # the header is refused before any entry is read
+        raise AssertionError("an entry was read")
+
+    monkeypatch.setattr(sieve, "_read_blocks", no_read)
+    monkeypatch.setattr(sieve, "_read_entries", no_read)
+    cap = sieve.MAX_SIEVE_LIMIT
+    with pytest.raises(CacheFormatError, match=f"^cache limit {cap + 1} exceeds {cap}$"):
         sieve.load_cache(path)
 
 
@@ -440,12 +459,12 @@ def test_cache_entries_below_2_are_rejected(tmp_path):
 
 @pytest.mark.parametrize("fault", ["swap", "repeat"])
 def test_cache_decrease_across_a_read_block_is_rejected(tmp_path, fault):
-    # the file is validated in blocks of _CACHE_BLOCK entries; entries b - 1
-    # and b sit on the two sides of the first boundary, each block is
-    # increasing on its own, and the message is the monotonicity check's,
-    # not the re-sieve's that would catch the fault too
-    b = sieve._CACHE_BLOCK
-    primes = sieve.primes_up_to(8 * 10**6)
+    # the file is validated in blocks of _BLOCK entries; entries b - 1 and b
+    # sit on the two sides of the first boundary, each block is increasing
+    # on its own, and the message is the monotonicity check's, not the
+    # re-sieve's that would catch the fault too
+    b = sieve._BLOCK
+    primes = sieve.primes_up_to(2 * 10**5)
     assert primes.size > b + 1
     bad = primes.copy()
     if fault == "swap":
@@ -453,7 +472,7 @@ def test_cache_decrease_across_a_read_block_is_rejected(tmp_path, fault):
     else:
         bad[b] = primes[b - 1]
     path = str(tmp_path / "p.tpc")
-    _write_raw(path, limit=8 * 10**6, primes=bad)
+    _write_raw(path, limit=2 * 10**5, primes=bad)
     with pytest.raises(CacheFormatError, match="strictly increasing"):
         sieve.load_cache(path)
 
@@ -534,3 +553,38 @@ def test_cache_build_and_reads_hold_a_fraction_of_the_payload(tmp_path):
     assert built == ps and (ps.count, served, summary[0]) == (count, count, count)
     assert summary[1][:3] == [2, 3, 5] and summary[2][-1] == 49_999_991
     assert max(peaks) < payload / 4, peaks
+
+
+# From a 2e7 cache (1,270,607 primes, 10.2 MB), tracemalloc peaks in MiB
+# with whole windows and a 4 MiB validation buffer, and now with reads of at
+# most _BLOCK entries (2 cores, numpy 2.4, Python 3.11; the same at 1e8):
+#   load_cache         4.51 -> 1.50   (1.1 MiB of window flags, a span
+#                                       and its stored entries beside it)
+#   prime_stream       2.26 -> 0.26   (two blocks of 128 KiB)
+#   max_gap_up_to      2.38 -> 0.26
+#   lemma1_report      2.17 -> 1.12   (four 128 KiB term buffers and a read)
+# Each bound sits between the two.
+CACHE_PEAK_BOUNDS_MIB = {"load_cache": 2.0, "prime_stream": 0.5, "max_gap_up_to": 0.5, "lemma1_report": 1.5}
+
+
+def test_cache_reads_hold_one_block_or_span_beyond_the_sieve_window(tmp_path):
+    limit = 2 * 10**7
+    path = str(tmp_path / "p.tpc")
+    ps = sieve.cached_primes_up_to(limit, path)
+    analytic.mertens_report(10**5, 10**5)   # first-call set-up outside the trace
+    runs = {
+        "load_cache": lambda: sieve.load_cache(path),
+        "prime_stream": lambda: sum(seg.size for seg in sieve.prime_stream(limit, cache=ps)),
+        "max_gap_up_to": lambda: sieve.max_gap_up_to(limit, cache=ps),
+        "lemma1_report": lambda: analytic.lemma1_report(limit, limit, cache=ps),
+    }
+    for name, run in runs.items():
+        tracemalloc.start()
+        try:
+            got = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < CACHE_PEAK_BOUNDS_MIB[name] * 2**20, (name, peak)
+        if name == "prime_stream":
+            assert got == ps.count == 1_270_607

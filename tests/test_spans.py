@@ -161,7 +161,7 @@ def held_at_marking(monkeypatch):
     [
         lambda: means.reduce_interval(10**5, 3 * 10**5, tuple(ProductMethod), sup=True, twins=True),
         lambda: verify.theorem1_report(3 * 10**5, 4.0),
-        lambda: analytic.lemma2_report(3 * 10**5, 4.0),
+        lambda: verify.lemma2_report(3 * 10**5, 4.0),
     ],
     ids=["reduce_interval", "theorem1_report", "lemma2_report"],
 )
@@ -221,7 +221,7 @@ def traced_peak(run) -> int:
     "name,run",
     [
         ("theorem1_report", lambda: verify.theorem1_report(10**8, 4.0)),
-        ("lemma2_report", lambda: analytic.lemma2_report(10**9, 1)),
+        ("lemma2_report", lambda: verify.lemma2_report(10**9, 1)),
         ("mertens_report", lambda: analytic.mertens_report(2 * 10**7, 2 * 10**7)),
         ("max_gap_up_to", lambda: sieve.max_gap_up_to(10**8)),
         ("twin_criterion", lambda: verify.twin_criterion(10**9, 101 * 10**7)),

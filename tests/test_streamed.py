@@ -1,13 +1,13 @@
 """The streamed interval reports equal the materialised ones, bit for bit.
 
 theorem1_report, lemma2_report and twin_criterion reduce (x, y] one block
-of at most sieve._BLOCK primes at a time, blocks never crossing a sieve
-window (means.reduce_interval over sieve.interval_windows).  The tests here
+at a time, a block being the primes of one span of a sieve window
+(means.reduce_interval over sieve.interval_windows).  The tests here
 rebuild every value from the whole interval (interval_primes,
 build_ratio_set, log_t_product) and ask for ==, not closeness, at segment
-sizes 2^12, 2^16 and 2^23, with window and block boundaries that fall
-between the two primes of a twin pair or of the sup element, at block
-sizes down to 1, and intervals that fit in one window.  Two tracemalloc
+sizes 2^12, 2^16 and 2^23, with window and span boundaries that fall
+between the two primes of a twin pair or of the sup element, at span
+sizes down to 1 flag, and intervals that fit in one window.  Two tracemalloc
 bounds pin the memory of the streamed report.
 """
 
@@ -131,8 +131,8 @@ SPLIT_TARGETS = [
 
 def split_kind(x: int, y: int, p: int) -> Optional[str]:
     """Check the blocked pass over (x, y] against the whole set, and say
-    where the element of p ends: at a window's end ("window"), at a block's
-    end inside a window ("block"), or inside a block (None)."""
+    where the element of p ends: at a window's end ("window"), at a span's
+    end inside a window ("span"), or inside a block (None)."""
     ip = sieve.interval_primes(x, y)
     rs = means.build_ratio_set(ip)
     iv = means.reduce_interval(x, y, tuple(ProductMethod), sup=True, twins=True)
@@ -143,31 +143,32 @@ def split_kind(x: int, y: int, p: int) -> Optional[str]:
         assert iv.log_t(m) == analytic.log_t_product(ip, m)
     cur = (x + 1) | 1      # the first window starts here
 
-    def window(q: int) -> int:
-        return (q - cur) // sieve.DEFAULT_SEGMENT_SIZE
+    def span_of(q: int) -> tuple[int, int]:    # (window, span within it)
+        w, r = divmod(q - cur, sieve.DEFAULT_SEGMENT_SIZE)
+        return w, r // (2 * sieve._SPAN)
 
     blocks = list(sieve.interval_windows(x, y))
-    for b, _ in blocks:    # at most _BLOCK primes, all of one window
-        assert b.size <= sieve._BLOCK and window(int(b[0])) == window(int(b[-1]))
+    for b, _ in blocks:    # every block lies in one span of one window
+        assert span_of(int(b[0])) == span_of(int(b[-1]))
     q = rs.sup.den + 2     # the prime after p
     ends = [n for b, n in blocks if int(b[-1]) == p]
     if not ends:
         return None
     assert ends == [q]
-    return "window" if window(p) < window(q) else "block"
+    return "window" if span_of(p)[0] < span_of(q)[0] else "span"
 
 
 def test_blocks_split_twin_pairs_and_the_sup_like_the_whole_interval(monkeypatch):
-    # x moves the windows and blocks over (x, y]; every (p, block size)
-    # must see p end a window, and end a block inside a window
+    # x moves the windows and spans over (x, y]; every (p, span size) must
+    # see p end a window, and end a span inside a window
     kinds = {}
-    for (x0, y, p), seg, block in itertools.product(SPLIT_TARGETS, (16, 64, 2**12), (1, 2, 3, 7)):
+    for (x0, y, p), seg, span in itertools.product(SPLIT_TARGETS, (16, 64, 2**12), (1, 2, 3, 7)):
         monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", seg)
-        monkeypatch.setattr(sieve, "_BLOCK", block)
+        monkeypatch.setattr(sieve, "_SPAN", span)
         xs = [q - 1 for q in oracle.primes_between(x0, p)] + [p + 1 - seg] * (p + 1 - seg >= x0)
         for x in xs:
-            kinds.setdefault((p, block), set()).add(split_kind(x, y, p))
-    assert len(kinds) == 8 and all(k >= {"window", "block"} for k in kinds.values())
+            kinds.setdefault((p, span), set()).add(split_kind(x, y, p))
+    assert len(kinds) == 8 and all(k >= {"window", "span"} for k in kinds.values())
 
 
 def test_interval_in_one_window(monkeypatch):
@@ -193,7 +194,7 @@ def test_interval_windows_cover_interval_primes(monkeypatch):
 
 @pytest.mark.parametrize("x,c", SWEEP)
 def test_lemma2_streamed_equals_materialised(segment, x, c):
-    chk, bs, rel_diff = analytic.lemma2_report(x, c)
+    chk, bs, rel_diff = verify.lemma2_report(x, c)
     ip = sieve.interval_primes(x, bs.y)
     direct = math.exp(analytic.log_t_product(ip, ProductMethod.DIRECT))
     tele = math.exp(analytic.log_t_product(ip, ProductMethod.TELESCOPED))
