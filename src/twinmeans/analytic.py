@@ -333,12 +333,12 @@ def lemma1_report(
     ), consts
 
 
-def _excesses(primes: np.ndarray, p_e: int, out: np.ndarray, start: int = 0) -> np.ndarray:
-    """The excesses k_n = p_{n+1} - 2 - p_n of the out.size primes from
-    primes[start], written into the int64 array out and returned; p_e is
-    the prime after the last of primes."""
-    p = primes[start : start + out.size]
-    nxt = primes[start + 1 : start + 1 + out.size]   # one short where the block ends at p_e
+def _excesses(primes: np.ndarray, p_e: int, out: np.ndarray) -> np.ndarray:
+    """The excesses k_n = p_{n+1} - 2 - p_n of the first out.size primes,
+    written into the int64 array out and returned; p_e is the prime after
+    the last of primes."""
+    p = primes[: out.size]
+    nxt = primes[1 : 1 + out.size]   # one short where the block ends at p_e
     np.subtract(nxt, p[: nxt.size], out=out[: nxt.size])
     if nxt.size < out.size:
         out[-1] = p_e - int(p[-1])
@@ -401,7 +401,7 @@ def log_t_product(
     prod = IntervalProduct((method,))
     buf = np.empty(min(ps.size, sieve._BLOCK), dtype=np.int64)
     for i in range(0, ps.size, buf.size):
-        k = _excesses(ps, ip.p_e, buf[: min(buf.size, ps.size - i)], i)
+        k = _excesses(ps[i:], ip.p_e, buf[: min(buf.size, ps.size - i)])
         prod.add(ps[i : i + k.size], k)
     return prod.log_t(method, ip.p_e)
 

@@ -1,9 +1,10 @@
 """Ratio sets over prime intervals and numerically stable power means.
 
 A ratio set is its interval primes as an int64 array plus the successor
-prime; the RatioElement objects, exact integer pairs, are made only on
-demand; reduce_interval takes an interval one block of primes at a time,
-so that a report's memory does not grow with the interval.  Every decision
+prime, and the sequence of its elements; the RatioElement objects, exact
+integer pairs, are made only on demand; reduce_interval takes an interval
+one block of primes at a time, so that a report's memory does not grow
+with the interval.  Every decision
 between ratios is exact: a float may narrow the candidates, but Python-int
 cross-multiplication settles them.  The float reductions (power means,
 geometric mean) are exact sums (analytic.ExactSum).
@@ -12,7 +13,7 @@ geometric mean) are exact sums (analytic.ExactSum).
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -56,9 +57,6 @@ class RatioElement:
     def as_fraction(self) -> Fraction:
         return Fraction(self.num, self.den)
 
-    def is_one(self) -> bool:
-        return self.num == self.den
-
     def __eq__(self, other):
         if not isinstance(other, RatioElement):
             return NotImplemented
@@ -72,50 +70,24 @@ class RatioElement:
     __hash__ = None  # mutable dataclass with value equality; keep it unhashable
 
 
-class RatioElements(Sequence[RatioElement]):
-    """Lazy RatioElement view of a RatioSet: element n is p_n/(p_{n+1}-2).
-
-    Elements are made on access, so the view costs nothing per prime.
-    power_mean and mean_limit recognise it and read the set's arrays instead
-    of iterating it.
-    """
-
-    __slots__ = ("ratio_set",)
-
-    def __init__(self, ratio_set: "RatioSet"):
-        self.ratio_set = ratio_set
-
-    def __len__(self) -> int:
-        return int(self.ratio_set.primes.size)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        ps = self.ratio_set.primes
-        p = int(ps[i])   # numpy indexing: negative indices, IndexError past the end
-        return RatioElement(p, p + int(self.ratio_set.k[i]))
-
-    def __iter__(self) -> Iterator[RatioElement]:
-        rs = self.ratio_set
-        return map(RatioElement, rs.primes.tolist(), (rs.primes + rs.k).tolist())
-
-
 @dataclass(eq=False)
-class RatioSet:
+class RatioSet(Sequence[RatioElement]):
     """Ratio set of a prime interval (x, y]: one p_n/(p_{n+1}-2) per prime.
 
     Held as the interval primes (int64, increasing, all above 2) plus p_e,
-    the first prime past y.  The excess k_n = p_{n+1} - 2 - p_n >= 0 orders
-    the elements: p_n/(p_n + k_n) = 1/(1 + k_n/p_n), so a smaller k/p is a
-    larger element and k_n == 0 is exactly 1, a twin pair (p_n, p_n + 2).
-    k and values are built once, on first use, each straight into its own
-    array.  The exact sup and inf are found once per set, on first use, one
-    block of at most sieve._BLOCK elements at a time: a float k/p (a
-    correctly rounded, hence monotone, quotient) narrows the candidates and
-    Python-int cross-multiplication settles them; a later block replaces the
-    extreme only if strictly better, so it is the first element that
-    attains it.  No product of two primes is formed in int64; near the 1e10
-    cap it would pass 2^63.
+    the first prime past y.  The set is the sequence of its elements:
+    element n is the RatioElement p_n/(p_{n+1}-2), made on access, so the
+    sequence costs nothing per prime.  The excess k_n = p_{n+1} - 2 - p_n
+    >= 0 orders the elements: p_n/(p_n + k_n) = 1/(1 + k_n/p_n), so a
+    smaller k/p is a larger element and k_n == 0 is exactly 1, a twin pair
+    (p_n, p_n + 2).  k and values are built once, on first use, each
+    straight into its own array.  The exact sup and inf are found once per
+    set, on first use, one block of at most sieve._BLOCK elements at a time:
+    a float k/p (a correctly rounded, hence monotone, quotient) narrows the
+    candidates and Python-int cross-multiplication settles them; a later
+    block replaces the extreme only if strictly better, so it is the first
+    element that attains it.  No product of two primes is formed in int64;
+    near the 1e10 cap it would pass 2^63.
     """
 
     x: int
@@ -131,9 +103,22 @@ class RatioSet:
         if int(self.primes[0]) <= 2:
             raise ValueError("ratio sets need interval primes above 2 (x >= 2)")
 
+    def __len__(self) -> int:
+        return int(self.primes.size)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        p = int(self.primes[i])   # numpy indexing: negative indices, IndexError past the end
+        return RatioElement(p, p + int(self.k[i]))
+
+    def __iter__(self) -> Iterator[RatioElement]:
+        return map(RatioElement, self.primes.tolist(), (self.primes + self.k).tolist())
+
     @property
-    def elements(self) -> RatioElements:
-        return RatioElements(self)
+    def elements(self) -> "RatioSet":
+        """The set itself; kept because perfbench/session.py reads it."""
+        return self
 
     @cached_property
     def k(self) -> np.ndarray:
@@ -152,10 +137,6 @@ class RatioSet:
     @cached_property
     def inf(self) -> RatioElement:
         return self._extreme(top=False)
-
-    def twin_pairs(self) -> list[tuple[int, int]]:
-        """Twin pairs (p, p+2) with x < p <= y; p+2 may be p_e."""
-        return [(p, p + 2) for p in self.primes[self.k == 0].tolist()]
 
     def _extreme(self, top: bool) -> RatioElement:
         ps, k = self.primes, self.k
@@ -226,8 +207,10 @@ def reduce_interval(
     element reaching into the next block, so every temporary is block-sized;
     the block and its set are dropped before the next block is asked for.
     Each adds its count, the log T terms of `methods` and, when asked, its
-    exact sup and twin lower primes; the overall sup is the exact max of the
-    block sups.  Every value equals that of the whole set (interval_primes).
+    exact sup and twin lower primes; the overall sup is max() of the block
+    sups, exact by RatioElement's order and the first of equals, so it names
+    the first element that attains it.  Every value equals that of the whole
+    set (interval_primes).
     """
     x, y = int(x), int(y)
     count, sups, lower = 0, [], np.empty(0, dtype=np.int64)
@@ -251,37 +234,27 @@ def reduce_interval(
         p_s=product.p_s,
         P=P,
         p_e=p_next,
-        sup=max_element(sups) if sup else None,
+        sup=max(sups) if sup else None,
         twin_lower=lower if twins else None,
         product=product,
     )
 
 
-def max_element(elements: Iterable[RatioElement]) -> RatioElement:
-    """Exact maximum; short-circuits on a twin ratio since values cap at 1."""
-    if isinstance(elements, RatioElements):
-        return elements.ratio_set.sup
-    it = iter(elements)
-    try:
-        best = next(it)
-    except StopIteration:
-        raise EmptySetError("max of an empty ratio collection") from None
-    for e in it:
-        if best.is_one():
-            return best
-        if e > best:
-            best = e
-    return best
+def max_element(rs: RatioSet) -> RatioElement:
+    """The exact sup of a ratio set, rs.sup: the means' call for it, which
+    perfbench times as means.sup_s."""
+    return rs.sup
 
 
-def min_element(elements: RatioElements) -> RatioElement:
-    """The exact inf of a ratio set, from its elements view."""
-    return elements.ratio_set.inf
+def min_element(rs: RatioSet) -> RatioElement:
+    """The exact inf of a ratio set, rs.inf: the means' call for it, which
+    perfbench times as means.sup_s."""
+    return rs.inf
 
 
-# The inputs of power_mean and mean_limit: a ratio set's elements view, or
-# plain floats.  A list of RatioElement is neither: float() refuses it.
-Values = Union[RatioElements, Sequence[float]]
+# The inputs of power_mean and mean_limit: a ratio set, or plain floats.
+# A list of RatioElement is neither: float() refuses it.
+Values = Union[RatioSet, Sequence[float]]
 
 
 def _checked_floats(values: Sequence[float], what: str) -> np.ndarray:
@@ -300,8 +273,8 @@ def _terms(values: Values, top: bool, what: str) -> tuple[np.ndarray, float]:
     the exact extreme element; rounding is monotone, so every v/m lies on
     the same side of 1 as the exact ratio does.
     """
-    if isinstance(values, RatioElements):
-        return values.ratio_set.values, (max_element if top else min_element)(values).value
+    if isinstance(values, RatioSet):
+        return values.values, (max_element if top else min_element)(values).value
     vals = _checked_floats(values, what)
     return vals, float(vals.max() if top else vals.min())
 
@@ -327,8 +300,8 @@ def power_mean(values: Values, alpha: float) -> MeanValue:
     with m the max (alpha > 0) or min (alpha < 0), so every scaled term lies
     in (0, 1] and no intermediate can overflow.  The scaled-term sum is
     correctly rounded, which keeps the result within a few ulps of exact.  A
-    RatioSet's elements view is reduced over the set's cached values, with m
-    its cached exact sup or inf; the scaled terms are made in blocks of at
+    RatioSet is reduced over its cached values, not its elements, with m its
+    cached exact sup or inf; the scaled terms are made in blocks of at
     most sieve._BLOCK.  Use mean_limit for alpha -> 0 and +-inf.
     """
     alpha = float(alpha)
@@ -349,15 +322,15 @@ def power_mean(values: Values, alpha: float) -> MeanValue:
 def mean_limit(values: Values, which: MeanLimit) -> MeanValue:
     """The alpha -> 0 (geometric) and alpha -> +-inf (max/min) mean limits.
 
-    On an elements view the sup/inf are the set's exact extremes and the
+    On a RatioSet the sup/inf are the set's exact extremes and the
     geometric mean runs on log1p of the exact pair differences, in blocks of
     at most sieve._BLOCK elements.
     """
     if not isinstance(which, MeanLimit):
         raise ValueError(f"unknown mean limit {which!r}")
     if which is MeanLimit.ZERO:
-        if isinstance(values, RatioElements):
-            ps, k = values.ratio_set.primes, values.ratio_set.k
+        if isinstance(values, RatioSet):
+            ps, k = values.primes, values.k
 
             def logs(s: slice, out: np.ndarray) -> np.ndarray:
                 # log(p/(p+k)) = log1p(-k/(p+k)), exact numerator and denominator:
@@ -377,7 +350,7 @@ def mean_limit(values: Values, which: MeanLimit) -> MeanValue:
 
         return MeanValue(alpha=0.0, value=math.exp(_block_sum(n, logs) / n), count=n)
     top = which is MeanLimit.PLUS_INF
-    if isinstance(values, RatioElements):   # the cached extreme: no values array
+    if isinstance(values, RatioSet):   # the cached extreme: no values array
         n, m = len(values), (max_element if top else min_element)(values).value
     else:
         vals, m = _terms(values, top, "mean limit")

@@ -452,10 +452,17 @@ def _probe_width(n: int) -> int:
 
 
 def next_prime_after(n: int) -> int:
-    """Smallest prime > n, via geometrically growing sieve windows."""
+    """Smallest prime > n, via geometrically growing sieve windows.
+
+    Raises CapacityError, before any sieving, for n past MAX_SIEVE_LIMIT
+    plus its probe width: the last n an interval pass at the cap asks for.
+    """
     n = int(n)
     if n < 2:
         return 2
+    cap = MAX_SIEVE_LIMIT + _probe_width(MAX_SIEVE_LIMIT)
+    if n > cap:
+        raise CapacityError(f"next prime after {n}: past the configured maximum {cap}")
     window = _probe_width(n)
     while True:
         hi = n + window

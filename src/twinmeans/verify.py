@@ -12,6 +12,7 @@ the interval only by the twin pairs, 8 bytes each.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -133,8 +134,12 @@ def beta_for(x: int, c: float) -> BetaSpec:
     """Exponent and endpoint for the interval (x, x^beta].
 
     x^beta = x * exp(c/log x); the endpoint is floored to an integer, which
-    changes no prime membership.  x below X_MIN, c outside C_RANGE and
-    intervals that collapse to nothing are rejected.
+    changes no prime membership.  beta and x_beta are floats; y is the exact
+    floor, taken in decimal with 30 more digits than x has and c's exact
+    binary value, since a float x_beta can round up onto the next integer
+    (x = 9001444428, c = 1.9: 9779415677, a prime, for 9779415676.9999993).
+    x below X_MIN, c outside C_RANGE and intervals that collapse to nothing
+    are rejected.
     """
     x = int(x)
     c = float(c)
@@ -146,7 +151,10 @@ def beta_for(x: int, c: float) -> BetaSpec:
     logx = math.log(x)
     beta = 1.0 + c / logx**2
     x_beta = x * math.exp(c / logx)
-    y = math.floor(x_beta)
+    with decimal.localcontext() as ctx:
+        ctx.prec = len(str(x)) + 30
+        dx = decimal.Decimal(x)
+        y = math.floor(dx * (decimal.Decimal(c) / dx.ln()).exp())
     if y <= x:
         raise ValueError(f"degenerate interval: floor(x^beta)={y} <= x={x}")
     return BetaSpec(x=x, c=c, beta=beta, x_beta=x_beta, y=y)

@@ -99,13 +99,13 @@ def test_exact_sum_empty_and_zeros():
 
 def test_power_means_are_the_fsum_of_their_terms():
     rs = means.build_ratio_set(sieve.interval_primes(10**6, 1_010_000))
-    vals, n = rs.values, len(rs.elements)
+    vals, n = rs.values, len(rs)
     for alpha in (-800.0, -1.0, 0.5, 2.0, 800.0):
         m = (rs.sup if alpha > 0 else rs.inf).value
         s = math.fsum(((vals / m) ** alpha).tolist()) / n
-        assert means.power_mean(rs.elements, alpha).value == m * s ** (1.0 / alpha)
+        assert means.power_mean(rs, alpha).value == m * s ** (1.0 / alpha)
     logs = np.log1p(-rs.k / (rs.primes + rs.k))
-    geo = means.mean_limit(rs.elements, means.MeanLimit.ZERO).value
+    geo = means.mean_limit(rs, means.MeanLimit.ZERO).value
     assert geo == math.exp(math.fsum(logs.tolist()) / n)
 
 

@@ -21,8 +21,8 @@ def test_ratio_element_value_and_fraction():
     e = RatioElement(13, 15)
     assert e.value == 13 / 15
     assert e.as_fraction() == Fraction(13, 15)
-    assert not e.is_one()
-    assert RatioElement(17, 17).is_one()
+    assert e.as_fraction() != 1
+    assert RatioElement(17, 17).as_fraction() == 1
 
 
 def test_ratio_element_invariants_enforced():
@@ -81,7 +81,7 @@ def test_ratio_element_not_hashable():
 
 def test_ratio_set_10_20():
     rs = means.build_ratio_set(sieve.interval_primes(10, 20))
-    assert [(e.num, e.den) for e in rs.elements] == [
+    assert [(e.num, e.den) for e in rs] == [
         (11, 11),
         (13, 15),
         (17, 17),
@@ -93,12 +93,12 @@ def test_ratio_set_10_20():
 def test_ratio_set_uses_successor_prime_beyond_y():
     # single prime 97 in (89, 97]; its successor 101 lies outside
     rs = means.build_ratio_set(sieve.interval_primes(89, 97))
-    assert [(e.num, e.den) for e in rs.elements] == [(97, 99)]
+    assert [(e.num, e.den) for e in rs] == [(97, 99)]
 
 
 def test_ratio_set_2_3():
     rs = means.build_ratio_set(sieve.interval_primes(2, 3))
-    assert [(e.num, e.den) for e in rs.elements] == [(3, 3)]
+    assert [(e.num, e.den) for e in rs] == [(3, 3)]
 
 
 def test_ratio_set_rejects_prime_two():
@@ -121,13 +121,13 @@ def test_ratio_set_matches_oracle_sweep():
         if ip.primes.size == 0:
             continue
         rs = means.build_ratio_set(ip)
-        assert [e.as_fraction() for e in rs.elements] == oracle.ratio_elements(x, y)
+        assert [e.as_fraction() for e in rs] == oracle.ratio_elements(x, y)
 
 
 def test_max_min_element():
     rs = means.build_ratio_set(sieve.interval_primes(10, 20))
-    assert means.max_element(rs.elements).as_fraction() == 1
-    assert means.min_element(rs.elements).as_fraction() == Fraction(13, 15)
+    assert means.max_element(rs).as_fraction() == 1
+    assert means.min_element(rs).as_fraction() == Fraction(13, 15)
 
 
 # ---------------------------------------------------------------------------
@@ -199,16 +199,16 @@ def test_power_mean_matches_textbook_formula():
 def test_power_mean_ratio_matches_exact_fraction():
     rs = means.build_ratio_set(sieve.interval_primes(10, 20))
     for alpha in (-3, -1, 1, 2, 5):
-        exact = sum(e.as_fraction() ** alpha for e in rs.elements) / Fraction(4)
-        got = means.power_mean(rs.elements, float(alpha)).value
+        exact = sum(e.as_fraction() ** alpha for e in rs) / Fraction(4)
+        got = means.power_mean(rs, float(alpha)).value
         assert got == pytest.approx(float(exact) ** (1.0 / alpha), rel=1e-14)
 
 
 def test_power_mean_ratio_agrees_with_float_path():
     rs = means.build_ratio_set(sieve.interval_primes(100, 200))
-    vals = [e.value for e in rs.elements]
+    vals = [e.value for e in rs]
     for alpha in (-8.0, -1.0, 0.5, 2.0, 8.0):
-        a = means.power_mean(rs.elements, alpha).value
+        a = means.power_mean(rs, alpha).value
         b = means.power_mean(vals, alpha).value
         assert a == pytest.approx(b, rel=1e-13)
 
@@ -219,8 +219,8 @@ def test_power_mean_ratio_agrees_with_float_path():
 
 def test_mean_limit_extremes_are_exact():
     rs = means.build_ratio_set(sieve.interval_primes(10, 20))
-    up = means.mean_limit(rs.elements, MeanLimit.PLUS_INF)
-    dn = means.mean_limit(rs.elements, MeanLimit.MINUS_INF)
+    up = means.mean_limit(rs, MeanLimit.PLUS_INF)
+    dn = means.mean_limit(rs, MeanLimit.MINUS_INF)
     assert up.value == 1.0 and up.alpha == math.inf
     assert dn.value == 13 / 15 and dn.alpha == -math.inf
 
@@ -228,9 +228,9 @@ def test_mean_limit_extremes_are_exact():
 def test_mean_limit_zero_matches_exact_product():
     rs = means.build_ratio_set(sieve.interval_primes(10, 20))
     exact = Fraction(1)
-    for e in rs.elements:
+    for e in rs:
         exact *= e.as_fraction()
-    got = means.mean_limit(rs.elements, MeanLimit.ZERO)
+    got = means.mean_limit(rs, MeanLimit.ZERO)
     assert got.value == pytest.approx(float(exact) ** 0.25, rel=1e-15)
     assert got.alpha == 0.0
 

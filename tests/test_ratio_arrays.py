@@ -1,5 +1,6 @@
 """Array-backed ratio sets: exact sup, inf and twin pairs from the primes
-array, the lazy elements view, and the vectorised means over it.
+array, the set as a lazy sequence of its elements, and the vectorised means
+over it.
 
 The oracles are trial division and Fraction arithmetic (tests/_oracles.py).
 The near-cap window sits just under MAX_SIEVE_LIMIT = 1e10, where a product
@@ -11,6 +12,7 @@ and they hold a fixed buffer above the set's own arrays.
 
 import math
 import tracemalloc
+from collections.abc import Sequence
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 from twinmeans import analytic, means, sieve, verify
 from twinmeans.analytic import ProductMethod
 from twinmeans.errors import EmptySetError
-from twinmeans.means import MeanLimit, RatioElement, RatioElements, RatioSet
+from twinmeans.means import MeanLimit, RatioElement, RatioSet
 from twinmeans.sieve import IntervalPrimes
 
 import _oracles as oracle
@@ -32,6 +34,11 @@ PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, 
 
 def ratio_set(x, y):
     return means.build_ratio_set(sieve.interval_primes(x, y))
+
+
+def twin_pairs(rs):
+    """The twin pairs (p, p+2) of a ratio set: its elements equal to 1."""
+    return [(e.num, e.num + 2) for e in rs if e.num == e.den]
 
 
 # ---------------------------------------------------------------------------
@@ -47,21 +54,21 @@ def near_cap():
 def test_near_cap_sup_inf_exact(near_cap):
     rs, fracs = near_cap
     assert rs.primes[-1] > 2**33                 # p*q > 2^66: no int64 product fits
-    assert [e.as_fraction() for e in rs.elements] == fracs
+    assert [e.as_fraction() for e in rs] == fracs
     assert rs.sup.as_fraction() == max(fracs) == 1
     assert rs.inf.as_fraction() == min(fracs)
 
 
 def test_near_cap_twin_pairs(near_cap):
     rs, _ = near_cap
-    assert rs.twin_pairs() == oracle.twin_pairs(*NEAR_CAP)
-    assert verify.TwinPairs(sieve.twin_pairs_in(*NEAR_CAP)) == rs.twin_pairs()
+    assert twin_pairs(rs) == oracle.twin_pairs(*NEAR_CAP)
+    assert verify.TwinPairs(sieve.twin_pairs_in(*NEAR_CAP)) == twin_pairs(rs)
 
 
 @pytest.mark.parametrize("alpha", [1, -1, 800, -800])
 def test_near_cap_power_means(near_cap, alpha):
     rs, fracs = near_cap
-    got = means.power_mean(rs.elements, float(alpha))
+    got = means.power_mean(rs, float(alpha))
     assert got.count == len(fracs)
     assert got.value == pytest.approx(oracle.power_mean_exact(fracs, alpha), rel=1e-14)
 
@@ -70,18 +77,18 @@ def test_near_cap_twinless_window_is_exact():
     x, y = NEAR_CAP_TWINLESS
     rs = ratio_set(x, y)
     fracs = oracle.ratio_elements(x, y)
-    assert rs.twin_pairs() == []
+    assert twin_pairs(rs) == []
     assert rs.sup.as_fraction() == max(fracs) < 1
     assert rs.inf.as_fraction() == min(fracs)
     rep = verify.twin_criterion(x, y)
     assert rep.m_inf == max(fracs) and rep.decision is False
     for alpha in (1, -1, 800, -800):
-        got = means.power_mean(rs.elements, float(alpha)).value
+        got = means.power_mean(rs, float(alpha)).value
         assert got == pytest.approx(oracle.power_mean_exact(fracs, alpha), rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
-# the order k/p and the lazy view
+# the order k/p and the set as a lazy sequence
 
 
 def test_sup_is_smallest_k_over_p_not_smallest_k():
@@ -99,42 +106,41 @@ def test_ratio_set_rejects_empty_and_two():
         RatioSet(x=1, y=3, primes=np.array([2, 3]), p_e=5)
 
 
-def test_elements_view_is_a_lazy_sequence():
+def test_ratio_set_is_a_lazy_sequence():
     rs = ratio_set(10, 20)
-    view = rs.elements
-    assert isinstance(view, RatioElements)
-    assert len(view) == 4
-    assert (view[0].num, view[0].den) == (11, 11)
-    assert (view[-1].num, view[-1].den) == (19, 21)
-    assert [(e.num, e.den) for e in view[1:3]] == [(13, 15), (17, 17)]
+    assert isinstance(rs, Sequence) and rs.elements is rs
+    assert len(rs) == 4
+    assert (rs[0].num, rs[0].den) == (11, 11)
+    assert (rs[-1].num, rs[-1].den) == (19, 21)
+    assert [(e.num, e.den) for e in rs[1:3]] == [(13, 15), (17, 17)]
     with pytest.raises(IndexError):
-        view[4]
-    assert RatioElement(13, 15) in view
-    assert means.max_element(view) is rs.sup
+        rs[4]
+    assert RatioElement(13, 15) in rs
+    assert means.max_element(rs) is rs.sup and means.min_element(rs) is rs.inf
 
 
-def test_means_read_the_arrays_not_the_view(monkeypatch):
+def test_means_read_the_arrays_not_the_elements(monkeypatch):
     rs = ratio_set(1_000, 3_000)
-    expected = [e.as_fraction() for e in rs.elements]
+    expected = [e.as_fraction() for e in rs]
 
     def no_iteration(self):
-        raise AssertionError("the elements view was iterated")
+        raise AssertionError("the ratio set was iterated")
 
-    monkeypatch.setattr(RatioElements, "__iter__", no_iteration)
+    monkeypatch.setattr(RatioSet, "__iter__", no_iteration)
     for alpha in (-8.0, -1.0, 2.0, 8.0):
-        got = means.power_mean(rs.elements, alpha).value
+        got = means.power_mean(rs, alpha).value
         assert got == pytest.approx(oracle.power_mean_exact(expected, int(alpha)), rel=1e-14)
-    assert means.mean_limit(rs.elements, MeanLimit.PLUS_INF).value == float(max(expected))
-    assert means.mean_limit(rs.elements, MeanLimit.MINUS_INF).value == float(min(expected))
-    geo = means.mean_limit(rs.elements, MeanLimit.ZERO).value
+    assert means.mean_limit(rs, MeanLimit.PLUS_INF).value == float(max(expected))
+    assert means.mean_limit(rs, MeanLimit.MINUS_INF).value == float(min(expected))
+    geo = means.mean_limit(rs, MeanLimit.ZERO).value
     assert geo == pytest.approx(float(oracle.t_product_exact(1_000, 3_000)) ** (1 / len(expected)), rel=1e-14)
 
 
 def test_ratio_element_list_is_refused():
-    # the means take a ratio set's elements view or floats; a list of
-    # RatioElement is neither, and float() refuses its elements
+    # the means take a ratio set or floats; a list of RatioElement is
+    # neither, and float() refuses its elements
     rs = ratio_set(100, 400)
-    listed = list(rs.elements)
+    listed = list(rs)
     for alpha in (-3.0, 0.5, 7.0):
         with pytest.raises(TypeError):
             means.power_mean(listed, alpha)
@@ -187,8 +193,8 @@ def reductions(ip: IntervalPrimes) -> dict:
     return {
         "sup": (rs.sup.num, rs.sup.den),
         "inf": (rs.inf.num, rs.inf.den),
-        "power": [means.power_mean(rs.elements, a).value.hex() for a in SESSION_ALPHAS],
-        "limits": [means.mean_limit(rs.elements, w).value.hex() for w in MeanLimit],
+        "power": [means.power_mean(rs, a).value.hex() for a in SESSION_ALPHAS],
+        "limits": [means.mean_limit(rs, w).value.hex() for w in MeanLimit],
         "log_t": [analytic.log_t_product(ip, m).hex() for m in ProductMethod],
     }
 
@@ -241,8 +247,8 @@ def test_reductions_hold_a_fixed_buffer_above_the_set():
             tracemalloc.stop()
 
     runs = [lambda: rs.sup, lambda: rs.inf]
-    runs += [lambda a=a: means.power_mean(rs.elements, a) for a in SESSION_ALPHAS]
-    runs += [lambda w=w: means.mean_limit(rs.elements, w) for w in MeanLimit]
+    runs += [lambda a=a: means.power_mean(rs, a) for a in SESSION_ALPHAS]
+    runs += [lambda w=w: means.mean_limit(rs, w) for w in MeanLimit]
     runs += [lambda m=m: analytic.log_t_product(ip, m) for m in ProductMethod]
     for run in runs:
         assert peak(run) <= 1 << 20
@@ -268,10 +274,10 @@ def test_array_sup_inf_twins_match_oracle(xy):
         return
     rs = means.build_ratio_set(ip)
     fracs = oracle.ratio_elements(x, y)
-    assert len(rs.elements) == len(fracs)
+    assert len(rs) == len(fracs)
     assert rs.sup.as_fraction() == max(fracs)
     assert rs.inf.as_fraction() == min(fracs)
-    assert rs.twin_pairs() == oracle.twin_pairs(x, y)
+    assert twin_pairs(rs) == oracle.twin_pairs(x, y)
 
 
 @PROPERTY_SETTINGS

@@ -130,9 +130,31 @@ def test_next_prime_after_known(n, expected):
 
 @pytest.mark.parametrize("n,expected", [(10**12, 10**12 + 39), (10**14, 10**14 + 31)])
 def test_next_prime_after_far_past_the_cap(monkeypatch, n, expected):
-    """The int64 first-multiple arithmetic stays exact far past the cap."""
+    """next_prime_after refuses n far past the cap; the int64 first-multiple
+    arithmetic of the windows it would sieve stays exact there."""
+    with pytest.raises(CapacityError):
+        sieve.next_prime_after(n)
     monkeypatch.setattr(sieve, "_base", sieve._base)   # 1e14 grows the table to 2^24
-    assert sieve.next_prime_after(n) == expected
+    hi = n + sieve._probe_width(n)
+    assert int(next(sieve.iter_prime_segments(n, hi, max_limit=hi))[0]) == expected
+
+
+def test_next_prime_after_refused_past_the_cap_before_sieving(monkeypatch):
+    # the last n an interval pass at the cap asks for is MAX_SIEVE_LIMIT
+    # plus its probe width, 531; without the cap 1e20 would sieve its base
+    # primes to 2^34, 16 GiB of flags
+    cap = sieve.MAX_SIEVE_LIMIT + sieve._probe_width(sieve.MAX_SIEVE_LIMIT)
+    assert cap == sieve.MAX_SIEVE_LIMIT + 531
+    assert sieve.next_prime_after(sieve.MAX_SIEVE_LIMIT) == 10_000_000_019
+    assert sieve.next_prime_after(cap) == oracle.next_prime(cap)
+
+    def no_sieving(limit):
+        raise AssertionError(f"sieved base primes to {limit}")
+
+    monkeypatch.setattr(sieve, "_dense_primes", no_sieving)
+    for n in (cap + 1, 10**12, 10**20):
+        with pytest.raises(CapacityError):
+            sieve.next_prime_after(n)
 
 
 def test_next_prime_after_random_sweep():

@@ -104,7 +104,7 @@ def test_a_span_may_end_between_the_primes_of_a_twin_pair(monkeypatch, span):
     assert iv.twin_lower.tolist() == [a for a, _ in oracle.twin_pairs(x, y)]
     count = sieve.prime_count(y) - sieve.prime_count(x)      # the count reader reads no span
     assert (iv.count, iv.P, iv.p_e) == (count, rs.primes[-1], oracle.next_prime(y))
-    assert iv.sup.is_one() and rs.sup.is_one()
+    assert iv.sup.as_fraction() == rs.sup.as_fraction() == 1
     for m in ProductMethod:
         assert iv.log_t(m) == analytic.log_t_product(sieve.interval_primes(x, y), m)
 
@@ -240,7 +240,7 @@ def test_mean_limit_extremes_build_no_values():
     rs.k, rs.sup, rs.inf    # the set's own arrays and extremes: built untraced
     got = {}
     for w in (MeanLimit.PLUS_INF, MeanLimit.MINUS_INF):
-        assert traced_peak(lambda w=w: got.setdefault(w, means.mean_limit(rs.elements, w))) <= 0.1 * 2**20
+        assert traced_peak(lambda w=w: got.setdefault(w, means.mean_limit(rs, w))) <= 0.1 * 2**20
     assert "values" not in vars(rs)
     vals = rs.values.tolist()
     for w, m in ((MeanLimit.PLUS_INF, max(vals)), (MeanLimit.MINUS_INF, min(vals))):

@@ -48,12 +48,18 @@ def segment(request, monkeypatch):
     return request.param
 
 
+def set_twins(rs: means.RatioSet) -> list[int]:
+    """The lower primes p of the twin pairs (p, p+2) of a ratio set: the p
+    of its elements with excess k = 0, p+2 possibly p_e."""
+    return rs.primes[rs.k == 0].tolist()
+
+
 def materialised_row(x: int, c: float) -> Theorem1Row:
     """theorem1_report from the whole interval held at once."""
     bs = verify.beta_for(x, c)
     ip = sieve.interval_primes(x, bs.y)
     rs = means.build_ratio_set(ip)
-    n = len(rs.elements)
+    n = len(rs)
     log_t = analytic.log_t_product(ip, ProductMethod.DIRECT)
     logx = math.log(x)
     pi_approx = bs.x_beta / (bs.beta * logx)
@@ -68,7 +74,7 @@ def materialised_row(x: int, c: float) -> Theorem1Row:
         logz_crosscheck=(log_t - (2.0 * math.log(bs.beta) - (bs.beta - 1.0) * logx)) / n,
         pi_approx=pi_approx,
         residual_approx_pi=bs.x_beta * -math.expm1(log_t / pi_approx) / c - 1.0,
-        twin_pairs=TwinPairs([p for p, _ in rs.twin_pairs()]),
+        twin_pairs=TwinPairs(set_twins(rs)),
     )
 
 
@@ -138,7 +144,7 @@ def split_kind(x: int, y: int, p: int) -> Optional[str]:
     iv = means.reduce_interval(x, y, tuple(ProductMethod), sup=True, twins=True)
     assert (iv.count, iv.p_s, iv.P, iv.p_e) == (rs.primes.size, ip.p_s, ip.P, ip.p_e)
     assert (iv.sup.num, iv.sup.den) == (rs.sup.num, rs.sup.den) and rs.sup.num == p
-    assert iv.twin_lower.tolist() == [a for a, _ in rs.twin_pairs()]
+    assert iv.twin_lower.tolist() == set_twins(rs)
     for m in ProductMethod:
         assert iv.log_t(m) == analytic.log_t_product(ip, m)
     cur = (x + 1) | 1      # the first window starts here
@@ -156,6 +162,22 @@ def split_kind(x: int, y: int, p: int) -> Optional[str]:
         return None
     assert ends == [q]
     return "window" if span_of(p)[0] < span_of(q)[0] else "span"
+
+
+@pytest.mark.parametrize("x,y", [(10, 2_000), (10**6, 10**6 + 5_000)])
+def test_streamed_sup_is_the_first_twin(monkeypatch, x, y):
+    # every twin element is exactly 1, so the block sups tie; the streamed
+    # sup must name the same element as the whole set: the first twin
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", 64)
+    monkeypatch.setattr(sieve, "_SPAN", 7)
+    blocks = list(sieve.interval_windows(x, y))
+    twin_blocks = [b for b, q in blocks if np.any(np.append(b[1:], q) - b == 2)]
+    assert len(twin_blocks) > 2
+    rs = means.build_ratio_set(sieve.interval_primes(x, y))
+    iv = means.reduce_interval(x, y, sup=True)
+    assert (iv.sup.num, iv.sup.den) == (rs.sup.num, rs.sup.den)
+    p = oracle.twin_pairs(x, y)[0][0]
+    assert (rs.sup.num, rs.sup.den) == (p, p)
 
 
 def test_blocks_split_twin_pairs_and_the_sup_like_the_whole_interval(monkeypatch):
@@ -224,7 +246,7 @@ def test_reduction_equals_materialised_ratio_set(segment):
         iv = means.reduce_interval(x, y, sup=True, twins=True)
         assert (iv.count, iv.p_s, iv.P, iv.p_e) == (rs.primes.size, rs.primes[0], rs.primes[-1], rs.p_e)
         assert iv.sup.as_fraction() == rs.sup.as_fraction()
-        assert [(p, p + 2) for p in iv.twin_lower.tolist()] == rs.twin_pairs()
+        assert iv.twin_lower.tolist() == set_twins(rs)
         rep = verify.twin_criterion(x, y)
         assert rep.m_inf == rs.sup.as_fraction() and rep.P == int(rs.primes[-1])
         assert rep.decision == bool(rep.brute_force_twins)

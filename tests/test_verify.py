@@ -6,6 +6,7 @@ Fraction 1268651/1456875 for x=100, c=1; see _oracles.t_product_exact).
 """
 
 import concurrent.futures
+import decimal
 import math
 import multiprocessing
 import os
@@ -15,8 +16,9 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from twinmeans import verify
+from twinmeans import sieve, verify
 from twinmeans.errors import EmptySetError
 from twinmeans.verify import C_RANGE, beta_for, theorem1_report, theorem1_scan, twin_criterion
 
@@ -50,6 +52,66 @@ def test_beta_for_rejections():
         beta_for(100, C_RANGE[1] + 0.01)
     with pytest.raises(ValueError):
         beta_for(10, 0.1)  # floor(x^beta) == x: nothing to look at
+
+
+# (x, c, floor(x^beta)): x*exp(c/log x) in float64 rounds up onto
+# floor + 1, which is prime for x = 9001444428 (x^beta =
+# 9779415676.99999928...) and composite for the others; settled in 60-
+# and 120-digit decimal arithmetic.
+FLOAT_FLOOR_OVERSHOOTS = [
+    (9_001_444_428, 1.9, 9_779_415_676),
+    (74_429_522, 0.25, 75_463_227),
+    (68_412_280, 1.0, 72_311_374),
+    (36_873_889, 1.5, 40_189_135),
+    (93_269_179, 1.5, 101_213_193),
+    (94_213_188, 1.75, 103_634_523),
+    (97_138_042, 1.75, 106_834_935),
+    (24_632_798, 3.5, 30_256_897),
+    (68_997_091, 3.5, 83_761_604),
+]
+
+
+@pytest.mark.parametrize("x,c,y", FLOAT_FLOOR_OVERSHOOTS)
+def test_beta_for_endpoint_is_the_exact_floor(x, c, y):
+    bs = beta_for(x, c)
+    assert bs.y == y
+    assert math.floor(bs.x_beta) == y + 1    # the float x_beta is kept as reported
+
+
+def floor_brackets(x: int, c: float, y: int) -> tuple[bool, bool]:
+    """(y <= x^beta, x^beta < y + 1), decided by logarithms at 80 digits:
+    ln(y/x)*ln x <= c < ln((y+1)/x)*ln x, with c's exact binary value."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        dx, dc = decimal.Decimal(x), decimal.Decimal(c)
+        lnx = dx.ln()
+        return (decimal.Decimal(y) / dx).ln() * lnx <= dc, dc < (decimal.Decimal(y + 1) / dx).ln() * lnx
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(x=st.integers(verify.X_MIN, 10**10), c=st.floats(*C_RANGE))
+@example(x=FLOAT_FLOOR_OVERSHOOTS[0][0], c=FLOAT_FLOOR_OVERSHOOTS[0][1])
+@example(x=10, c=0.1)
+def test_beta_for_endpoint_property(x, c):
+    try:
+        y = beta_for(x, c).y
+    except ValueError:    # degenerate: the floor is x itself
+        assert floor_brackets(x, c, x) == (True, True)
+        return
+    assert y > x and floor_brackets(x, c, y) == (True, True)
+
+
+def test_report_at_a_float_overshoot_against_trial_division():
+    # x^beta = 75463227.99999...; 75463228, where the float floor ends the
+    # interval, is composite, so the counts agree and only y moves
+    x, c, y = FLOAT_FLOOR_OVERSHOOTS[1]
+    row = theorem1_report(x, c)
+    assert row.interval.y == y and not oracle.is_prime(y + 1)
+    P = next(p for p in range(y, x, -1) if oracle.is_prime(p))
+    assert row.criterion_threshold == Fraction(P, P + 2)
+    tail = [p for p, _ in row.twin_pairs if p > y - 20_000]
+    assert tail and tail == [p for p, _ in oracle.twin_pairs(y - 20_000, y)]
+    assert row.pi_interval == sieve.prime_count(y) - sieve.prime_count(x)
 
 
 # ---------------------------------------------------------------------------
