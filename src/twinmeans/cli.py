@@ -48,25 +48,19 @@ SCAN_CSV_FIELDS = [
 
 
 def _json_scalar(v) -> str:
-    if type(v) is int:   # the common case first; a bool is not exactly int
-        return str(v)
-    if isinstance(v, bool):
+    if isinstance(v, bool):     # before int: a bool is an int
         return "true" if v else "false"
+    if isinstance(v, int):
+        return str(v)
     if isinstance(v, float):
         if not math.isfinite(v):
             raise ValueError("non-finite value in report")
         return format(v, f".{WIRE_DIGITS}g")
-    if isinstance(v, int):
-        return str(v)
     if v is None:
         return "null"
     if isinstance(v, str):
         return json.dumps(v)
     raise TypeError(f"unsupported report value {v!r}")
-
-
-def _render_json(obj, indent: int = 0) -> str:
-    return "".join(_json_pieces(obj, indent))
 
 
 def _json_pieces(obj, indent: int = 0) -> Iterator[str]:
@@ -300,7 +294,7 @@ def _cmd_scan(args) -> int:
     payloads = [_scalars(to_payload(r)) for r in rows]
     if args.format == "json":
         failed = [{"x": x, "error": msg} for x, msg in failures]
-        print(_render_json({"c": args.c, "rows": payloads, "failures": failed}))
+        _emit(args, {"c": args.c, "rows": payloads, "failures": failed})
     elif args.format == "csv":
         _emit_csv(SCAN_CSV_FIELDS, payloads, sys.stdout)
     else:

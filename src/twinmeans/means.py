@@ -84,8 +84,8 @@ class RatioSet(Sequence[RatioElement]):
     straight into its own array.  The exact sup and inf are found once per
     set, on first use, one block of at most sieve._BLOCK elements at a time:
     a float k/p (a correctly rounded, hence monotone, quotient) narrows the
-    candidates and Python-int cross-multiplication settles them; a later
-    block replaces the extreme only if strictly better, so it is the first
+    candidates and RatioElement's order settles them: max() or min() of
+    the candidates of every block, the first of equals, so it is the first
     element that attains it.  No product of two primes is formed in int64;
     near the 1e10 cap it would pass 2^63.
     """
@@ -141,18 +141,15 @@ class RatioSet(Sequence[RatioElement]):
     def _extreme(self, top: bool) -> RatioElement:
         ps, k = self.primes, self.k
         f = np.empty(min(ps.size, sieve._BLOCK))
-        kb = pb = None
+        candidates = []
         for i in range(0, ps.size, f.size):
             p, kk = ps[i : i + f.size], k[i : i + f.size]
             q = np.divide(kk, p, out=f[: p.size])
             j = int(np.argmin(q) if top else np.argmax(q))
             # every k == 0 element is exactly 1: no tie to settle
             ties = [j] if kk[j] == 0 else np.flatnonzero(q == q[j]).tolist()
-            for j in ties:
-                kj, pj = int(kk[j]), int(p[j])
-                if kb is None or ((kj * pb < kb * pj) if top else (kj * pb > kb * pj)):
-                    kb, pb = kj, pj
-        return RatioElement(pb, pb + kb)
+            candidates += (RatioElement(int(p[t]), int(p[t]) + int(kk[t])) for t in ties)
+        return (max if top else min)(candidates)
 
 
 @dataclass(frozen=True)
@@ -210,12 +207,15 @@ def reduce_interval(
     exact sup and twin lower primes; the overall sup is max() of the block
     sups, exact by RatioElement's order and the first of equals, so it names
     the first element that attains it.  Every value equals that of the whole
-    set (interval_primes).
+    set (interval_primes).  An interval without primes, one empty block,
+    raises EmptySetError.
     """
     x, y = int(x), int(y)
     count, sups, lower = 0, [], np.empty(0, dtype=np.int64)
     product = IntervalProduct(methods)
     for primes, p_next in sieve.interval_windows(x, y):
+        if not primes.size:     # the one block of an interval without primes
+            break
         rs = RatioSet(x=x, y=y, primes=primes, p_e=p_next)
         count += int(primes.size)
         product.add(primes, rs.k)

@@ -489,12 +489,18 @@ _BLOCK = 1 << 14
 _SPAN = 8 * _BLOCK
 
 
-def _interval_pass(x: int, y: int) -> Iterator[tuple[np.ndarray, int]]:
-    """interval_windows, except that an interval without primes yields one
-    (empty, p_e) from the same pass instead of nothing.
+def interval_windows(x: int, y: int) -> Iterator[tuple[np.ndarray, int]]:
+    """Yield (primes, p_next) for each block of the primes in (x, y]: the
+    primes of one span of a sieve window (iter_prime_segments), clipped at
+    y, and the prime after the last.
 
-    Each span of iter_prime_segments, clipped at y, is one block, and it
-    waits whole for the next span's first prime.
+    One sieve pass over (x, y + w], w = _probe_width(y), gives both; only
+    when (y, y + w] holds no prime does next_prime_after search on.  A
+    block waits whole for the next span's first prime; it is the only one
+    held here, so a consumer that drops each block it was given holds none
+    while the next window is marked.  An interval without primes yields one
+    block, empty, with its p_e.  The cap applies to y; the look-ahead past
+    y may pass it.
     """
     x, y = int(x), int(y)
     if not 0 < x < y:
@@ -515,33 +521,16 @@ def _interval_pass(x: int, y: int) -> Iterator[tuple[np.ndarray, int]]:
     yield held, next_prime_after(hi)
 
 
-def interval_windows(x: int, y: int) -> Iterator[tuple[np.ndarray, int]]:
-    """Yield (primes, p_next) for each block of the primes in (x, y]: the
-    primes of one span of a sieve window (iter_prime_segments), clipped at
-    y, and the prime after the last.
-
-    One sieve pass over (x, y + w], w = _probe_width(y), gives both; only
-    when (y, y + w] holds no prime does next_prime_after search on.  A
-    block waits for the next span's first prime and is dropped here before
-    the next step, so a consumer that drops it too holds none while the
-    next span is sieved.  An interval without primes yields nothing.  The
-    cap applies to y; the look-ahead past y may pass it.
-    """
-    for primes, p_next in _interval_pass(x, y):
-        if primes.size:
-            yield primes, p_next
-        del primes
-
-
 def interval_primes(x: int, y: int) -> IntervalPrimes:
     """Primes in (x, y] together with the boundary primes p_s, P, p_e.
 
     Mind the memory: the result holds every prime of the interval, built
     from the blocks plus their concatenated copy; a one-pass reduction can
     stream interval_windows instead (means.reduce_interval).  An interval
-    without primes takes p_e, which is then also p_s, from the same pass.
+    without primes is its one empty block: p_e, which is then also p_s,
+    comes from the same pass.
     """
-    windows = list(_interval_pass(x, y))
+    windows = list(interval_windows(x, y))
     primes = np.concatenate([w for w, _ in windows])
     p_e = windows[-1][1]
     return IntervalPrimes(

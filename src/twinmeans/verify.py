@@ -73,9 +73,6 @@ class TwinPairs(Sequence[tuple[int, int]]):
 
     __hash__ = None
 
-    def __reduce__(self):
-        return TwinPairs, (self.lower,)
-
     def __repr__(self) -> str:
         return f"TwinPairs({list(self)!r})"
 

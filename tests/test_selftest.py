@@ -38,7 +38,6 @@ def test_other_seeds_pass_too():
 
 def test_runs_fast():
     t0 = time.perf_counter()
-    rep = selftest.run_selftest(seed=0, sets=100)
+    selftest.run_selftest(seed=0, sets=100)
     wall = time.perf_counter() - t0
     assert wall < 5.0
-    assert rep.elapsed_s < 5.0

@@ -166,7 +166,7 @@ def held_at_marking(monkeypatch):
     ids=["reduce_interval", "theorem1_report", "lemma2_report"],
 )
 def test_interval_consumers_drop_each_block(held_at_marking, run):
-    alive = held_at_marking("_interval_pass")
+    alive = held_at_marking("interval_windows")
     run()
     assert len(alive) > 20 and not any(alive), alive
 

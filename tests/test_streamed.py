@@ -209,7 +209,8 @@ def test_interval_windows_cover_interval_primes(monkeypatch):
         assert np.array_equal(np.concatenate([w for w, _ in windows]), ip.primes)
         successors = [int(w[0]) for w, _ in windows[1:]] + [ip.p_e]
         assert [p_next for _, p_next in windows] == successors
-    assert list(sieve.interval_windows(113, 126)) == []   # no prime in (113, 126]
+    [(block, p_e)] = sieve.interval_windows(113, 126)   # no prime in (113, 126]
+    assert block.size == 0 and block.dtype == np.int64 and p_e == 127
     with pytest.raises(ValueError):
         list(sieve.interval_windows(20, 20))
 
@@ -354,7 +355,7 @@ def test_json_twin_pairs_are_written_in_pieces(monkeypatch, capsys):
 
 def test_json_renders_twin_pairs_and_dicts_at_any_depth():
     obj = {"rows": [{"pairs": TwinPairs([5, 11]), "n": 2}], "nested": [[TwinPairs([17])], []]}
-    text = cli._render_json(obj)
+    text = "".join(cli._json_pieces(obj))
     assert text == (
         '{\n'
         '  "rows": [\n'
