@@ -390,18 +390,23 @@ def log_t_product(
     rearrangement T = ((p_s-2)/(p_e-2)) * prod_{x<p<=y} p/(p-2).  Both sum
     their own terms exactly and agree to near machine precision; the dual
     route is kept deliberately as a cross-check, do not collapse one into
-    the other.  This is IntervalProduct fed the interval in blocks of at
-    most sieve._BLOCK primes, their excesses k made in one buffer.
+    the other.  This is IntervalProduct fed the interval in blocks (_log_t).
     """
-    ps = ip.primes
-    if ps.size == 0:
+    if ip.primes.size == 0:
         raise EmptySetError(f"no primes in ({ip.x}, {ip.y}]")
-    if int(ps[0]) <= 2:
+    if int(ip.primes[0]) <= 2:
         raise ValueError("ratio products need interval primes above 2")
+    return _log_t(ip.primes, ip.p_e, method)
+
+
+def _log_t(primes: np.ndarray, p_e: int, method: ProductMethod) -> float:
+    """log T of the primes (nonempty, increasing, above 2) and p_e after
+    them: IntervalProduct fed blocks of at most sieve._BLOCK primes, their
+    excesses k made in one int64 buffer.  means.mean_limit reads it too."""
     prod = IntervalProduct((method,))
-    buf = np.empty(min(ps.size, sieve._BLOCK), dtype=np.int64)
-    for i in range(0, ps.size, buf.size):
-        k = _excesses(ps[i:], ip.p_e, buf[: min(buf.size, ps.size - i)])
-        prod.add(ps[i : i + k.size], k)
-    return prod.log_t(method, ip.p_e)
+    buf = np.empty(min(primes.size, sieve._BLOCK), dtype=np.int64)
+    for i in range(0, primes.size, buf.size):
+        k = _excesses(primes[i:], p_e, buf[: min(buf.size, primes.size - i)])
+        prod.add(primes[i : i + k.size], k)
+    return prod.log_t(method, p_e)
 

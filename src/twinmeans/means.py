@@ -6,8 +6,9 @@ integer pairs, are made only on demand; reduce_interval takes an interval
 one block of primes at a time, so that a report's memory does not grow
 with the interval.  Every decision
 between ratios is exact: a float may narrow the candidates, but Python-int
-cross-multiplication settles them.  The float reductions (power means,
-geometric mean) are exact sums (analytic.ExactSum).
+cross-multiplication settles them.  The float reductions are exact sums
+(analytic.ExactSum); the geometric mean of a ratio set is T^(1/pi), T the
+ratio product by the DIRECT route of analytic.IntervalProduct.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import sieve
-from .analytic import ExactSum, IntervalProduct, ProductMethod, _excesses
+from .analytic import ExactSum, IntervalProduct, ProductMethod, _excesses, _log_t
 from .errors import EmptySetError
 from .sieve import IntervalPrimes
 
@@ -266,19 +267,6 @@ def _checked_floats(values: Sequence[float], what: str) -> np.ndarray:
     return vals
 
 
-def _terms(values: Values, top: bool, what: str) -> tuple[np.ndarray, float]:
-    """The values as a float array and m, their max (top) or min.
-
-    A ratio value is one correctly rounded division and m is the value of
-    the exact extreme element; rounding is monotone, so every v/m lies on
-    the same side of 1 as the exact ratio does.
-    """
-    if isinstance(values, RatioSet):
-        return values.values, (max_element if top else min_element)(values).value
-    vals = _checked_floats(values, what)
-    return vals, float(vals.max() if top else vals.min())
-
-
 def _block_sum(n: int, terms: Callable[[slice, np.ndarray], np.ndarray]) -> float:
     """The exact sum of the terms of elements 0..n-1, one block at a time.
 
@@ -307,7 +295,15 @@ def power_mean(values: Values, alpha: float) -> MeanValue:
     alpha = float(alpha)
     if not math.isfinite(alpha) or alpha == 0.0:
         raise ValueError("alpha must be finite and nonzero; use mean_limit for limits")
-    vals, m = _terms(values, alpha > 0, "power mean")
+    top = alpha > 0
+    if isinstance(values, RatioSet):
+        # a ratio value is one correctly rounded division and m is the value
+        # of the exact extreme element; rounding is monotone, so every v/m
+        # lies on the same side of 1 as the exact ratio does
+        vals, m = values.values, (max_element if top else min_element)(values).value
+    else:
+        vals = _checked_floats(values, "power mean")
+        m = float(vals.max() if top else vals.min())
     n = int(vals.size)
 
     def scaled(s: slice, out: np.ndarray) -> np.ndarray:
@@ -322,37 +318,27 @@ def power_mean(values: Values, alpha: float) -> MeanValue:
 def mean_limit(values: Values, which: MeanLimit) -> MeanValue:
     """The alpha -> 0 (geometric) and alpha -> +-inf (max/min) mean limits.
 
-    On a RatioSet the sup/inf are the set's exact extremes and the
-    geometric mean runs on log1p of the exact pair differences, in blocks of
-    at most sieve._BLOCK elements.
+    On a RatioSet of n elements the geometric mean is T^(1/n), T = prod
+    p_n/(p_{n+1}-2) by the DIRECT product route (analytic.IntervalProduct),
+    so it is theorem1's M0 by construction; the sup/inf are the set's exact
+    extremes.  Plain floats take the exact sum of their logs, in blocks of
+    at most sieve._BLOCK, and their float max/min.
     """
     if not isinstance(which, MeanLimit):
         raise ValueError(f"unknown mean limit {which!r}")
-    if which is MeanLimit.ZERO:
-        if isinstance(values, RatioSet):
-            ps, k = values.primes, values.k
-
-            def logs(s: slice, out: np.ndarray) -> np.ndarray:
-                # log(p/(p+k)) = log1p(-k/(p+k)), exact numerator and denominator:
-                # p+k is summed in int64, then rounded, and -(k/d) has the bits of (-k)/d
-                out = np.add(ps[s], k[s], out=out)
-                np.divide(k[s], out, out=out)
-                np.negative(out, out=out)
-                return np.log1p(out, out=out)
-
-            n = int(ps.size)
-        else:
-            vals = _checked_floats(values, "mean limit")
-            n = int(vals.size)
-
-            def logs(s: slice, out: np.ndarray) -> np.ndarray:
-                return np.log(vals[s], out=out)
-
-        return MeanValue(alpha=0.0, value=math.exp(_block_sum(n, logs) / n), count=n)
     top = which is MeanLimit.PLUS_INF
-    if isinstance(values, RatioSet):   # the cached extreme: no values array
-        n, m = len(values), (max_element if top else min_element)(values).value
+    if isinstance(values, RatioSet):
+        n = len(values)
+        if which is MeanLimit.ZERO:
+            value = math.exp(_log_t(values.primes, values.p_e, ProductMethod.DIRECT) / n)
+        else:   # the cached extreme: no values array
+            value = (max_element if top else min_element)(values).value
     else:
-        vals, m = _terms(values, top, "mean limit")
+        vals = _checked_floats(values, "mean limit")
         n = int(vals.size)
-    return MeanValue(alpha=math.inf if top else -math.inf, value=m, count=n)
+        if which is MeanLimit.ZERO:
+            value = math.exp(_block_sum(n, lambda s, out: np.log(vals[s], out=out)) / n)
+        else:
+            value = float(vals.max() if top else vals.min())
+    alpha = 0.0 if which is MeanLimit.ZERO else math.inf if top else -math.inf
+    return MeanValue(alpha=alpha, value=value, count=n)

@@ -489,6 +489,16 @@ _BLOCK = 1 << 14
 _SPAN = 8 * _BLOCK
 
 
+def _interval(x: int, y: int) -> tuple[int, int]:
+    """(x, y) as ints, checked: 0 < x < y and y within MAX_SIEVE_LIMIT."""
+    x, y = int(x), int(y)
+    if not 0 < x < y:
+        raise ValueError("need 0 < x < y")
+    if y > MAX_SIEVE_LIMIT:
+        raise CapacityError(f"limit {y} exceeds configured maximum {MAX_SIEVE_LIMIT}")
+    return x, y
+
+
 def interval_windows(x: int, y: int) -> Iterator[tuple[np.ndarray, int]]:
     """Yield (primes, p_next) for each block of the primes in (x, y]: the
     primes of one span of a sieve window (iter_prime_segments), clipped at
@@ -502,11 +512,7 @@ def interval_windows(x: int, y: int) -> Iterator[tuple[np.ndarray, int]]:
     block, empty, with its p_e.  The cap applies to y; the look-ahead past
     y may pass it.
     """
-    x, y = int(x), int(y)
-    if not 0 < x < y:
-        raise ValueError("need 0 < x < y")
-    if y > MAX_SIEVE_LIMIT:
-        raise CapacityError(f"limit {y} exceeds configured maximum {MAX_SIEVE_LIMIT}")
+    x, y = _interval(x, y)
     hi = y + _probe_width(y)
     held = np.empty(0, dtype=np.int64)
     for seg in iter_prime_segments(x, hi, max_limit=hi):
@@ -577,11 +583,7 @@ def twin_pairs_in(x: int, y: int) -> np.ndarray:
     pairs are never held twice.  The cap applies to y; the look-ahead to
     y + 2 for a co-twin may pass it.
     """
-    x, y = int(x), int(y)
-    if not 0 < x < y:
-        raise ValueError("need 0 < x < y")
-    if y > MAX_SIEVE_LIMIT:
-        raise CapacityError(f"limit {y} exceeds configured maximum {MAX_SIEVE_LIMIT}")
+    x, y = _interval(x, y)
     lower = np.empty(0, dtype=np.int64)
     carry = np.empty(0, dtype=np.int64)
     for seg in iter_prime_segments(x, y + 2, max_limit=y + 2):

@@ -9,12 +9,14 @@ import ast
 import inspect
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from twinmeans import analytic, means, sieve, verify
 from twinmeans.analytic import EULER_GAMMA, ProductMethod
+from twinmeans.errors import EmptySetError
 
 import _oracles as oracle
 
@@ -259,6 +261,23 @@ def test_log_t_product_is_log_of_t_product():
         assert math.exp(lg) == pytest.approx(
             t_product(100, 200, method), rel=1e-14
         )
+
+
+@pytest.mark.parametrize(
+    "call,exc,msg",
+    [
+        (lambda: analytic.log_t_product(sieve.interval_primes(113, 126)), EmptySetError,
+         "no primes in (113, 126]"),
+        (lambda: analytic.log_t_product(sieve.interval_primes(1, 10)), ValueError,
+         "ratio products need interval primes above 2"),
+        (lambda: analytic.IntervalProduct(("direct",)), ValueError, "unknown product method 'direct'"),
+        (lambda: analytic.derived_constants(math.nan, 0.5), ValueError, "M and C must be finite"),
+    ],
+    ids=["log_t_product_empty", "log_t_product_from_2", "IntervalProduct_method", "derived_constants_nan"],
+)
+def test_refusals(call, exc, msg):
+    with pytest.raises(exc, match=f"^{re.escape(msg)}$"):
+        call()
 
 
 # ---------------------------------------------------------------------------

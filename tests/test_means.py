@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from twinmeans import means, sieve
+from twinmeans import analytic, means, sieve, verify
 from twinmeans.errors import EmptySetError
 from twinmeans.means import MeanLimit, RatioElement
 
@@ -233,6 +233,17 @@ def test_mean_limit_zero_matches_exact_product():
     got = means.mean_limit(rs, MeanLimit.ZERO)
     assert got.value == pytest.approx(float(exact) ** 0.25, rel=1e-15)
     assert got.alpha == 0.0
+
+
+@pytest.mark.parametrize("x,c", [(1e4, 1), (1e6, 1), (7e6, 2.0), (1e8, 0.1), (3.1e7, 1.3)])
+def test_geometric_mean_is_theorem1_m0_and_the_product_mean(x, c):
+    # one formula: the ratio set's geometric mean is T^(1/pi) by the DIRECT
+    # product route, the number theorem1 reports as M0, to the last bit
+    ip = sieve.interval_primes(int(x), verify.beta_for(int(x), c).y)
+    geo = means.mean_limit(means.build_ratio_set(ip), MeanLimit.ZERO)
+    assert geo.count == ip.primes.size
+    assert geo.value == verify.theorem1_report(int(x), c).m0
+    assert geo.value == math.exp(analytic.log_t_product(ip) / ip.primes.size)
 
 
 def test_mean_limit_zero_float_path():

@@ -1,5 +1,5 @@
 """One sieve pass per interval report and per prime-sum command, and scan
-rows that survive a crashed worker.
+rows that survive a crashed worker or a pool broken at submit.
 
 The sieve-work tests wrap sieve._marked_windows, the generator of marked
 windows, with a counter: every reader of the sieve in the package
@@ -192,3 +192,25 @@ def test_scan_worker_crash_becomes_row_failures(monkeypatch):
     assert sorted(done + list(failed)) == xs
     assert done == sorted(done)                       # input order kept
     assert all(r == real(r.interval.x, 1.0) for r in rows)
+
+
+def test_scan_pool_broken_at_submit_fails_the_rows_it_refused(monkeypatch):
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    real_submit, calls = ProcessPoolExecutor.submit, []
+
+    def breaks_after_first(pool, *args, **kwargs):
+        calls.append(args)
+        if len(calls) > 1:
+            raise BrokenProcessPool("pool broke while rows were queued")
+        return real_submit(pool, *args, **kwargs)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", breaks_after_first)
+    xs = [100, 1_000, 5_000, 10_000]
+    rows, failures = verify.theorem1_scan(xs, 1.0, jobs=2)
+    assert len(calls) == len(xs)
+    assert rows == [verify.theorem1_report(100, 1.0)]
+    assert [x for x, _ in failures] == xs[1:]         # input order kept
+    assert all(msg.startswith("BrokenProcessPool: ") for _, msg in failures), failures
+    assert multiprocessing.active_children() == []

@@ -277,6 +277,17 @@ def test_twin_pairs_none():
     assert twin_pairs(89, 97) == []
 
 
+@pytest.mark.parametrize("x,y", [(5, 5), (20, 10), (0, 10), (10, sieve.MAX_SIEVE_LIMIT + 1)])
+def test_twin_pairs_refused_like_interval_windows_before_sieving(monkeypatch, x, y):
+    with pytest.raises((ValueError, CapacityError)) as want:
+        next(sieve.interval_windows(x, y))
+    sieved = []
+    monkeypatch.setattr(sieve, "iter_prime_segments", lambda *a, **k: sieved.append(a) or iter(()))
+    with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+        sieve.twin_pairs_in(x, y)
+    assert sieved == []
+
+
 def test_twin_pairs_random_sweep():
     rng = random.Random(17)
     for _ in range(100):
@@ -610,3 +621,37 @@ def test_cache_reads_hold_one_block_or_span_beyond_the_sieve_window(tmp_path):
         assert peak < CACHE_PEAK_BOUNDS_MIB[name] * 2**20, (name, peak)
         if name == "prime_stream":
             assert got == ps.count == 1_270_607
+
+
+# ---------------------------------------------------------------------------
+# refusals not reached by the tests above
+
+
+@pytest.mark.parametrize(
+    "call,msg",
+    [
+        (lambda path: sieve.primes_up_to(-1), "limit must be >= 0"),
+        (lambda path: sieve.prime_summary(-1, 3), "limit must be >= 0"),
+        (lambda path: sieve.save_cache(-1, path), "limit must be >= 0"),
+        (lambda path: sieve.max_gap_up_to(2), "need limit >= 3 so at least one gap exists"),
+    ],
+    ids=["primes_up_to", "prime_summary", "save_cache", "max_gap_up_to"],
+)
+def test_refusals(tmp_path, call, msg):
+    with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+        call(str(tmp_path / "p.tpc"))
+    assert os.listdir(tmp_path) == []   # save_cache leaves neither the file nor its .tmp
+
+
+def test_cache_shorter_than_its_header_is_rejected_and_rebuilt(tmp_path):
+    path = str(tmp_path / "p.tpc")
+    _write_raw(path)
+    raw = open(path, "rb").read()
+    with open(path, "wb") as fh:
+        fh.write(raw[:20])      # one byte short of the 21-byte header
+    with pytest.raises(CacheFormatError, match="^cache file truncated$"):
+        sieve.load_cache(path)
+    with pytest.warns(RuntimeWarning, match=re.escape(f"{path}: cache file truncated")):
+        ps = sieve.cached_primes_up_to(200, path)
+    assert _stored(ps) == oracle.primes_upto(200)
+    assert sieve.load_cache(path).limit == 200
