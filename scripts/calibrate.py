@@ -61,7 +61,7 @@ def main():
         one_minus_m0 = (row.residual + 1.0) * row.interval.c / row.interval.x_beta
         r9b = row.pi_interval * logx * one_minus_m0 / row.interval.c - 1.0
         print(
-            f"  x={x:<10} M_inf={row.m_inf_value}  residual={row.residual:.6f}"
+            f"  x={x:<10} M_inf={float(row.m_inf)}  residual={row.residual:.6f}"
             f"  residual_approx_pi={row.residual_approx_pi:.6f}"
             f"  r9b={r9b:.6f}  r9b*logx={r9b * logx:.6f}"
             f"  pi={row.pi_interval}  twins={len(row.twin_pairs)}"

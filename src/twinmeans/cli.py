@@ -16,7 +16,7 @@ import math
 import os
 import sys
 from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence, get_type_hints
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from . import analytic, selftest, sieve, verify
 from .errors import CacheFormatError, CapacityError
@@ -127,7 +127,7 @@ def _pairs_preview(pairs: Sequence[Sequence[int]], limit: int = 8) -> str:
 
 
 # ---------------------------------------------------------------------------
-# report payloads: one dict per result dataclass, and its json inverse
+# report payloads: one dict per result dataclass
 
 # payload fields printed in json only, a count in their place elsewhere
 _LISTS = (list, TwinPairs)
@@ -163,23 +163,6 @@ def to_payload(report, **extra) -> dict:
         else:
             d[key] = v
     return {**d, **extra, **lists}
-
-
-def from_payload(cls, d: dict):
-    """Rebuild a `cls` report from its json payload; extra keys are ignored."""
-    hints = get_type_hints(cls)
-    kwargs = {}
-    for f in dataclasses.fields(cls):
-        t, key = hints[f.name], _KEYS.get(f.name, f.name)
-        if dataclasses.is_dataclass(t):
-            kwargs[f.name] = from_payload(t, d)
-        elif t is Fraction:
-            kwargs[f.name] = Fraction(d[key + "_exact"])
-        elif t is TwinPairs:
-            kwargs[f.name] = TwinPairs([p for p, _ in d[key]])
-        else:
-            kwargs[f.name] = d[key]
-    return cls(**kwargs)
 
 
 def _scalars(payload: dict) -> dict:

@@ -165,8 +165,6 @@ class GapRecord:
 
 def _dense_primes(limit: int) -> np.ndarray:
     """All primes <= limit by a dense boolean sieve; used for base primes."""
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
     flags = np.ones(limit + 1, dtype=bool)
     flags[:2] = False
     for p in range(2, math.isqrt(limit) + 1):
@@ -371,24 +369,6 @@ def prime_stream(hi: int, *, cache: Optional[PrimeFile] = None) -> Iterator[np.n
             yield from _read_blocks(fh, cache._upto(hi))
         return
     yield from iter_prime_segments(1, hi)
-
-
-def primes_up_to(limit: int) -> np.ndarray:
-    """Materialize all primes <= limit, as one increasing int64 array.
-
-    Mind the memory: the result holds pi(limit) int64 values even though the
-    sieving itself is windowed.  It holds them once: one array grows in
-    place (realloc) by each window, with no list of windows to concatenate.
-    """
-    limit = int(limit)
-    if limit < 0:
-        raise ValueError("limit must be >= 0")
-    primes = np.empty(0, dtype=np.int64)
-    for seg in iter_prime_segments(1, limit):
-        n = primes.size
-        primes.resize(n + seg.size, refcheck=False)
-        primes[n:] = seg
-    return primes
 
 
 def _last_primes(cur: int, flags: np.ndarray, m: int) -> list[int]:

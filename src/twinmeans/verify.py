@@ -107,11 +107,6 @@ class Theorem1Row:
     residual_approx_pi: float
     twin_pairs: TwinPairs
 
-    @property
-    def m_inf_value(self) -> float:
-        """m_inf as the nearest double."""
-        return float(self.m_inf)
-
 
 @dataclass(frozen=True)
 class CriterionReport:

@@ -1,14 +1,18 @@
 """Slow-but-obviously-correct reference implementations used by the tests.
 
-Everything here is deliberately independent of the package internals:
-trial division instead of a sieve, Fraction arithmetic instead of floats.
-Keep it dumb; speed does not matter at oracle sizes.
+Everything here but sieved_upto is deliberately independent of the
+package internals: trial division instead of a sieve, Fraction arithmetic
+instead of floats.  Keep it dumb; speed does not matter at oracle sizes.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+import numpy as np
+
+from twinmeans import sieve
 
 
 def is_prime(n: int) -> bool:
@@ -103,3 +107,14 @@ def power_mean_exact(ratios: list[Fraction], alpha: int) -> float:
     m = max(ratios) if alpha > 0 else min(ratios)
     s = math.fsum(float((r / m) ** alpha) for r in ratios) / len(ratios)
     return float(m) * s ** (1.0 / alpha)
+
+
+def sieved_upto(n: int) -> np.ndarray:
+    """The primes <= n as one increasing int64 array: the spans of
+    iter_prime_segments(1, n), concatenated.
+
+    This is the package's own sieve, not an independent oracle.  A test
+    that compares against it checks agreement with the sieve; one that
+    checks the sieve itself compares this with trial division above.
+    """
+    return np.concatenate([np.empty(0, dtype=np.int64), *sieve.iter_prime_segments(1, n)])

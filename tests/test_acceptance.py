@@ -185,7 +185,7 @@ def test_criterion_09a_sup_mean_is_one(sweep):
     rows, elapsed = sweep
     for row in rows:
         print(
-            f"criterion 9a: x={row.interval.x:.0e} M_inf={row.m_inf_value} "
+            f"criterion 9a: x={row.interval.x:.0e} M_inf={float(row.m_inf)} "
             f"twins={len(row.twin_pairs)}"
         )
         assert row.m_inf == 1, f"no unit ratio in ({row.interval.x}, {row.interval.y}]"

@@ -17,7 +17,7 @@ PUBLIC = [
     "interval_windows", "iter_prime_segments", "lemma1_report", "lemma2_report",
     "load_cache", "log_t_product", "max_element", "max_gap_up_to", "mean_limit",
     "mertens_report", "min_element", "next_prime_after", "power_mean", "prime_count",
-    "prime_stream", "prime_sums", "primes_up_to", "reduce_interval", "run_selftest",
+    "prime_stream", "prime_sums", "reduce_interval", "run_selftest",
     "save_cache", "theorem1_report", "theorem1_scan", "twin_criterion",
     "twin_pairs_in",
 ]

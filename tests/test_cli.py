@@ -1,19 +1,26 @@
 """End-to-end command tests, run in-process through cli.run().
 
 The json/csv outputs carry 17 significant digits, which round-trips any
-double exactly; several tests lean on that to reconstruct report objects
-from parsed output and compare them against the library results.
+double exactly; several tests lean on that to read values back from parsed
+output and compare them against the library results.
 """
 
 import csv
+import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from twinmeans import analytic, cli, selftest, sieve, verify
+
+import _oracles as oracle
 
 
 def run_cmd(capsys, *argv):
@@ -42,7 +49,7 @@ def test_primes_tail_spans_sieve_windows(capsys):
     rc, out, _ = run_cmd(capsys, "primes", "--limit", str(limit), "--format", "json")
     assert rc == 0
     doc = json.loads(out)
-    primes = sieve.primes_up_to(limit)
+    primes = oracle.sieved_upto(limit)
     assert doc["count"] == primes.size
     assert doc["tail"] == primes[-10:].tolist() and doc["largest"] == int(primes[-1])
 
@@ -98,19 +105,39 @@ def test_json_renders_bools_and_refuses_what_it_cannot_carry():
 
 
 # ---------------------------------------------------------------------------
-# json round-trips back to report objects
+# json output is the library's report, and reads back without loss
+
+
+def _fractions(report):
+    """(payload key, value) of each Fraction field, nested dataclasses included."""
+    for f in dataclasses.fields(report):
+        v = getattr(report, f.name)
+        if dataclasses.is_dataclass(v):
+            yield from _fractions(v)
+        elif isinstance(v, Fraction):
+            yield cli._KEYS.get(f.name, f.name), v
 
 
 def _check_json_roundtrip(capsys, argv, cls, library):
-    """parse -> from_payload -> to_payload -> render gives stdout back, byte
-    for byte, and the rebuilt report equals the library's."""
+    """stdout is the rendered payload of the library's `cls` report, byte for
+    byte, and every value reads back from it as the library has it: each
+    scalar equals the payload's, each `_exact` string parses to the
+    library's Fraction, and the twin pairs equal its TwinPairs."""
     rc, out, _ = run_cmd(capsys, *argv.split(), "--format", "json")
     assert rc == 0
+    report = library()
+    assert type(report) is cls
     doc = json.loads(out)
-    report = cli.from_payload(cls, doc)
     extra = {k: v for k, v in doc.items() if k not in cli.to_payload(report)}
-    assert "".join(cli._json_pieces(cli.to_payload(report, **extra))) + "\n" == out
-    assert report == library()
+    payload = cli.to_payload(report, **extra)
+    assert "".join(cli._json_pieces(payload)) + "\n" == out
+    for key, v in payload.items():
+        if isinstance(v, verify.TwinPairs):
+            assert v == [tuple(pair) for pair in doc[key]]
+        else:
+            assert doc[key] == v, key
+    for key, v in _fractions(report):
+        assert Fraction(doc[key + "_exact"]) == v, key
 
 
 def test_theorem1_json_roundtrip(capsys):
@@ -275,6 +302,23 @@ def test_selftest_exit_zero_on_pass(capsys):
     doc = json.loads(out)
     assert doc["passed"] is True
     assert doc["failures"] == []
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [("criterion --x 10 --y 20", 0), ("criterion --x 24 --y 28", 1), ("theorem1 --x 5", 2)],
+)
+def test_main_exits_with_the_code_of_run(capsys, argv, code):
+    """`python -m twinmeans.cli` goes through main(), which exits with run's
+    code; on success its stdout is run's, byte for byte."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))   # this twinmeans, not another
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "twinmeans.cli", *argv.split()], capture_output=True, env=env
+    )
+    assert proc.returncode == code, proc.stderr
+    if code == 0:
+        assert proc.stdout.decode() == run_cmd(capsys, *argv.split())[1]
 
 
 def test_theorem1_table_lists_twin_pairs(capsys):

@@ -15,6 +15,8 @@ from hypothesis import given, settings, strategies as st
 from twinmeans import analytic, means, sieve
 from twinmeans.analytic import ExactSum
 
+import _oracles as oracle
+
 PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
 
@@ -200,7 +202,7 @@ def test_exact_parts_stay_bounded_over_many_small_adds():
 
 @pytest.fixture(scope="module")
 def primes_1e6():
-    return sieve.primes_up_to(10**6)
+    return oracle.sieved_upto(10**6)
 
 
 @pytest.fixture(scope="module")

@@ -22,54 +22,46 @@ import _oracles as oracle
 
 
 # ---------------------------------------------------------------------------
-# primes_up_to / iter_prime_segments
+# the primes up to a limit (oracle.sieved_upto) / iter_prime_segments
 
 
 def test_primes_up_to_10():
-    assert sieve.primes_up_to(10).tolist() == [2, 3, 5, 7]
+    assert oracle.sieved_upto(10).tolist() == [2, 3, 5, 7]
 
 
 def test_primes_up_to_small_edges():
-    assert sieve.primes_up_to(0).tolist() == []
-    assert sieve.primes_up_to(1).tolist() == []
-    assert sieve.primes_up_to(2).tolist() == [2]
-    assert sieve.primes_up_to(3).tolist() == [2, 3]
+    assert oracle.sieved_upto(0).tolist() == []
+    assert oracle.sieved_upto(1).tolist() == []
+    assert oracle.sieved_upto(2).tolist() == [2]
+    assert oracle.sieved_upto(3).tolist() == [2, 3]
 
 
 def test_primes_up_to_100_against_trial_division():
-    got = sieve.primes_up_to(100).tolist()
+    got = oracle.sieved_upto(100).tolist()
     assert got == oracle.primes_upto(100)
     assert len(got) == 25
     assert got[-1] == 97
 
 
 def test_primes_up_to_10000_against_trial_division():
-    assert sieve.primes_up_to(10_000).tolist() == oracle.primes_upto(10_000)
+    assert oracle.sieved_upto(10_000).tolist() == oracle.primes_upto(10_000)
 
 
-def test_primes_up_to_holds_its_primes_once():
-    sieve.primes_up_to(10**5)   # the base table and first-call set-up outside the trace
-    tracemalloc.start()
-    try:
-        ps = sieve.primes_up_to(2 * 10**7)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert ps.size == 1_270_607
-    assert peak <= 1.25 * ps.nbytes
+def test_primes_up_to_2e7_count():
+    assert oracle.sieved_upto(2 * 10**7).size == 1_270_607
 
 
 def test_prime_seq_dtype_and_limit():
-    ps = sieve.primes_up_to(50)
-    assert ps.dtype == np.int64
+    assert all(seg.dtype == np.int64 for seg in sieve.iter_prime_segments(1, 50))
+    ps = oracle.sieved_upto(50)
     assert ps[-1] <= 50 < sieve.next_prime_after(int(ps[-1]))   # every prime up to the limit
 
 
 @pytest.mark.parametrize("segment_size", [16, 17, 64, 1024, 4096])
 def test_segment_size_does_not_change_output(monkeypatch, segment_size):
-    base = sieve.primes_up_to(100_000)
+    base = oracle.sieved_upto(100_000)
     monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", segment_size)
-    seg = sieve.primes_up_to(100_000)
+    seg = oracle.sieved_upto(100_000)
     assert np.array_equal(base, seg)
 
 
@@ -111,7 +103,7 @@ def test_last_primes_reads_the_whole_window_past_a_sparse_end():
 
 def test_capacity_cap_rejected_before_work():
     with pytest.raises(CapacityError):
-        sieve.primes_up_to(sieve.MAX_SIEVE_LIMIT + 1)
+        oracle.sieved_upto(sieve.MAX_SIEVE_LIMIT + 1)
     with pytest.raises(CapacityError):
         list(sieve.iter_prime_segments(0, 100, max_limit=50))
 
@@ -162,6 +154,45 @@ def test_next_prime_after_random_sweep():
     for _ in range(200):
         n = rng.randrange(1, 100_000)
         assert sieve.next_prime_after(n) == oracle.next_prime(n)
+
+
+# (p, g): the maximal prime gaps, each the first gap g = q - p between
+# consecutive primes p < q larger than every gap before it (OEIS A002386,
+# A005250), up to the cap.  The next record, 382 after 10,726,904,659, lies
+# past MAX_SIEVE_LIMIT + _probe_width(MAX_SIEVE_LIMIT).
+MAXIMAL_GAPS = [
+    (2, 1), (3, 2), (7, 4), (23, 6), (89, 8), (113, 14), (523, 18), (887, 20),
+    (1129, 22), (1327, 34), (9551, 36), (15683, 44), (19609, 52), (31397, 72),
+    (155921, 86), (360653, 96), (370261, 112), (492113, 114), (1349533, 118),
+    (1357201, 132), (2010733, 148), (4652353, 154), (17051707, 180),
+    (20831323, 210), (47326693, 220), (122164747, 222), (189695659, 234),
+    (191912783, 248), (387096133, 250), (436273009, 282), (1294268491, 288),
+    (1453168141, 292), (2300942549, 320), (3842610773, 336), (4302407359, 354),
+]
+
+
+def test_probe_width_reaches_the_next_prime_up_to_the_cap():
+    """_probe_width(n) covers every prime gap that starts at or below n, so
+    the first look-ahead of next_prime_after and interval_windows finds the
+    successor prime for every n up to the cap.
+
+    Between two records the gaps are at most the last record's, and the
+    width only grows with n, so g <= _probe_width(p) at each record p is
+    enough.  Each record here is sieved as a real gap, and those below 1e7
+    are found again by a scan.  That nothing bigger hides between them
+    above 1e7, and that the record after the table lies past the cap, rest
+    on the published table.
+    """
+    assert MAXIMAL_GAPS[-1][0] <= sieve.MAX_SIEVE_LIMIT
+    assert 10_726_904_659 > sieve.MAX_SIEVE_LIMIT + sieve._probe_width(sieve.MAX_SIEVE_LIMIT)
+    assert min(sieve._probe_width(p) - g for p, g in MAXIMAL_GAPS) == 30   # at p = 1327
+    for p, g in MAXIMAL_GAPS:
+        assert [q for s in sieve.iter_prime_segments(p - 1, p + g) for q in s.tolist()] == [p, p + g]
+    ps = oracle.sieved_upto(10**7)
+    gaps = np.diff(ps)
+    first = np.flatnonzero(gaps > np.maximum.accumulate(np.concatenate(([0], gaps[:-1]))))
+    found = list(zip(ps[first].tolist(), gaps[first].tolist()))
+    assert found == [(p, g) for p, g in MAXIMAL_GAPS if p + g <= 10**7]
 
 
 def test_interval_10_20():
@@ -316,7 +347,7 @@ def _stored(cache):
 
 def test_cache_roundtrip(tmp_path):
     path = str(tmp_path / "p.tpc")
-    ps = sieve.primes_up_to(1_000)
+    ps = oracle.sieved_upto(1_000)
     sieve.save_cache(1_000, path)
     back = sieve.load_cache(path)
     assert back.limit == 1_000
@@ -429,7 +460,7 @@ def test_cached_primes_rebuilds_corrupt_file(tmp_path):
 
 def test_cache_with_a_prime_missing_is_rejected_and_rebuilt(tmp_path):
     path = str(tmp_path / "p.tpc")
-    full = sieve.primes_up_to(100)
+    full = oracle.sieved_upto(100)
     _write_raw(path, limit=100, primes=np.delete(full, 10))
     with pytest.raises(CacheFormatError, match="fresh sieve"):
         sieve.load_cache(path)
@@ -449,7 +480,7 @@ def test_cache_content_checked_in_first_and_last_window(tmp_path, monkeypatch, w
     monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", 1_000)
     monkeypatch.setattr(sieve, "_SPAN", 50)
     path = str(tmp_path / "p.tpc")
-    primes = sieve.primes_up_to(20_000)
+    primes = oracle.sieved_upto(20_000)
     _write_raw(path, limit=20_000, primes=primes)
     sieve.load_cache(path)   # the honest file passes
     i = {"first": 20, "last": primes.size - 20}.get(where, int(np.searchsorted(primes, 19_500)))
@@ -497,7 +528,7 @@ def test_cache_decrease_across_a_read_block_is_rejected(tmp_path, fault):
     # on its own, and the message is the monotonicity check's, not the
     # re-sieve's that would catch the fault too
     b = sieve._BLOCK
-    primes = sieve.primes_up_to(2 * 10**5)
+    primes = oracle.sieved_upto(2 * 10**5)
     assert primes.size > b + 1
     bad = primes.copy()
     if fault == "swap":
@@ -527,7 +558,7 @@ def test_built_cache_is_the_file_of_the_materialized_primes(tmp_path, monkeypatc
     monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", segment_size)
     built, whole = str(tmp_path / "built.tpc"), str(tmp_path / "whole.tpc")
     pf = sieve.cached_primes_up_to(limit, built)
-    ps = sieve.primes_up_to(limit)
+    ps = oracle.sieved_upto(limit)
     _write_raw(whole, limit=limit, primes=ps)
     assert open(built, "rb").read() == open(whole, "rb").read()
     assert (pf.path, pf.limit, pf.count) == (built, limit, ps.size)
@@ -569,7 +600,7 @@ def test_cache_build_and_reads_hold_a_fraction_of_the_payload(tmp_path):
     # serving the file each stay under a quarter of it.
     limit, count = 5 * 10**7, 3_001_134
     path = str(tmp_path / "p.tpc")
-    sieve.primes_up_to(10**5)   # the base table and first-call set-up outside the trace
+    oracle.sieved_upto(10**5)   # the base table and first-call set-up outside the trace
     tracemalloc.start()
     try:
         built = sieve.cached_primes_up_to(limit, path)
@@ -630,12 +661,11 @@ def test_cache_reads_hold_one_block_or_span_beyond_the_sieve_window(tmp_path):
 @pytest.mark.parametrize(
     "call,msg",
     [
-        (lambda path: sieve.primes_up_to(-1), "limit must be >= 0"),
         (lambda path: sieve.prime_summary(-1, 3), "limit must be >= 0"),
         (lambda path: sieve.save_cache(-1, path), "limit must be >= 0"),
         (lambda path: sieve.max_gap_up_to(2), "need limit >= 3 so at least one gap exists"),
     ],
-    ids=["primes_up_to", "prime_summary", "save_cache", "max_gap_up_to"],
+    ids=["prime_summary", "save_cache", "max_gap_up_to"],
 )
 def test_refusals(tmp_path, call, msg):
     with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):

@@ -230,7 +230,7 @@ def traced_peak(run) -> int:
 def test_streamed_report_peaks(name, run):
     verify.twin_criterion(10**5, 2 * 10**5)   # first-call set-up outside the trace
     analytic.mertens_report(10**5, 10**5)
-    sieve.primes_up_to(10**5)
+    oracle.sieved_upto(10**5)
     assert traced_peak(run) < PEAK_BOUNDS_MIB[name] * 2**20
 
 

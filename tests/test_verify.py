@@ -123,7 +123,7 @@ def test_theorem1_row_at_100():
     assert row.interval.y == 124
     assert row.pi_interval == 5
     assert row.m_inf == 1                       # 101 -> 103 gives 101/101
-    assert row.m_inf_value == 1.0
+    assert float(row.m_inf) == 1.0
     assert row.criterion_threshold == Fraction(113, 115)
     assert row.twin_pairs == [(101, 103), (107, 109)]
     # frozen oracle values (exact product 1268651/1456875)
@@ -145,7 +145,7 @@ def test_theorem1_row_internal_consistency():
     )
     assert row.lower_bound == pytest.approx(1.0 - bs.c / bs.x_beta, rel=1e-15)
     # the sup of a ratio set never exceeds 1 and m0 never exceeds the sup
-    assert row.m0 <= row.m_inf_value <= 1.0
+    assert row.m0 <= float(row.m_inf) <= 1.0
     assert len(row.twin_pairs) <= row.pi_interval
 
 
