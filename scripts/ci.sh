@@ -41,6 +41,8 @@ $tw gaps --limit 1e6 --format json
 $tw selftest --sets 5
 rc=0; $tw theorem1 --x 5 || rc=$?; test "$rc" -eq 2
 rc=0; $tw criterion --x 24 --y 28 || rc=$?; test "$rc" -eq 1
+$tw criterion --x 9999999400 --y 1e10 --format json       # the look-ahead passes the cap
+rc=0; $tw criterion --x 9999999400 --y 10000000001 || rc=$?; test "$rc" -eq 1
 for args in "selftest --sets 5 --format csv" "scan --x-values 1e4,1e5,1e6 --c 1 --jobs 2 --format json"; do
     $tw $args > "$tmp/first.out"
     $tw $args > "$tmp/second.out"

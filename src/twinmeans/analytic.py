@@ -75,13 +75,13 @@ class ExactSum:
     read between adds.
     """
 
-    def __init__(self, terms=(), *, _fold_at: int = _FOLD_AT):
+    def __init__(self, terms=()):
         self._hi = np.zeros(_BIG_BE)
         self._lo = np.zeros(_BIG_BE)
         self._pending = 0              # terms in the buckets since the last fold
         self._parts: list[float] = []  # exact parts: folded buckets, chunk lo sums,
                                        # big or non-finite terms
-        self._fold_at = int(_fold_at)
+        self._fold_at = _FOLD_AT       # read here, so a test can patch it
         self.add(terms)
 
     def add(self, terms) -> None:

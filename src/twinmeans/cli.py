@@ -330,22 +330,24 @@ class Command(NamedTuple):
 
 
 _BETA_ARGS = (Arg("--x", verify.X_MIN), Arg("--c", verify.C_RANGE, float, 1.0))
-_CUTOFF = Arg("--cutoff", 3, default=10**7)
+_SUM_MIN = {name: least for name, (least, _) in analytic.PRIME_SUMS.items()}
+_CUTOFF = Arg("--cutoff", max(_SUM_MIN["M"], _SUM_MIN["C"]), default=10**7)
 
 # name: Command(handler, help, takes --cache-path, options)
 COMMANDS = {
     "primes": Command(_cmd_primes, "primes up to a limit", True, (Arg("--limit", 0),)),
     "gaps": Command(_cmd_gaps, "largest consecutive-prime gap", True, (Arg("--limit", 3),)),
     "mertens": Command(_cmd_mertens, "sum of 1/p against log log x + M", True, (
-        Arg("--x", 2),
-        Arg("--cutoff", 2, default=10**6, help="cutoff for the M estimate (default 1e6)"),
+        Arg("--x", _SUM_MIN["recip"]),
+        Arg("--cutoff", _SUM_MIN["M"], default=10**6,
+            help="cutoff for the M estimate (default 1e6)"),
     )),
     "constants": Command(
         _cmd_constants, "estimate M, C and the derived D', D with tail bounds", True, (_CUTOFF,)
     ),
-    "lemma1": Command(
-        _cmd_lemma1, "twin-factor product against exp(-D)/log^2 x", True, (Arg("--x", 3), _CUTOFF)
-    ),
+    "lemma1": Command(_cmd_lemma1, "twin-factor product against exp(-D)/log^2 x", True, (
+        Arg("--x", _SUM_MIN["twin"]), _CUTOFF
+    )),
     "lemma2": Command(
         _cmd_lemma2, "interval ratio product against beta^2/x^(beta-1)", False, _BETA_ARGS
     ),

@@ -425,30 +425,10 @@ def prime_count(x: int, *, cache: Optional[PrimeFile] = None) -> int:
 
 
 def _probe_width(n: int) -> int:
-    """The first look-ahead past n for its successor prime: about log(n)^2
+    """The look-ahead past n for its successor prime: about log(n)^2
     integers, which reach the next prime for every n up to the cap (the
-    maximal prime gaps there stay below log(p)^2)."""
+    maximal prime gaps there stay below log(p)^2), so one pass finds it."""
     return max(64, int(math.log(n) ** 2) + 1)
-
-
-def next_prime_after(n: int) -> int:
-    """Smallest prime > n, via geometrically growing sieve windows.
-
-    Raises CapacityError, before any sieving, for n past MAX_SIEVE_LIMIT
-    plus its probe width: the last n an interval pass at the cap asks for.
-    """
-    n = int(n)
-    if n < 2:
-        return 2
-    cap = MAX_SIEVE_LIMIT + _probe_width(MAX_SIEVE_LIMIT)
-    if n > cap:
-        raise CapacityError(f"next prime after {n}: past the configured maximum {cap}")
-    window = _probe_width(n)
-    while True:
-        hi = n + window
-        for seg in iter_prime_segments(n, hi, max_limit=hi):
-            return int(seg[0])
-        window *= 2
 
 
 # Entries per cache read (_read_blocks) and primes per block of prime_sums
@@ -484,13 +464,13 @@ def interval_windows(x: int, y: int) -> Iterator[tuple[np.ndarray, int]]:
     primes of one span of a sieve window (iter_prime_segments), clipped at
     y, and the prime after the last.
 
-    One sieve pass over (x, y + w], w = _probe_width(y), gives both; only
-    when (y, y + w] holds no prime does next_prime_after search on.  A
-    block waits whole for the next span's first prime; it is the only one
-    held here, so a consumer that drops each block it was given holds none
-    while the next window is marked.  An interval without primes yields one
-    block, empty, with its p_e.  The cap applies to y; the look-ahead past
-    y may pass it.
+    One sieve pass over (x, y + w], w = _probe_width(y), gives both; a
+    look-ahead without a prime, which the maximal gaps up to the cap rule
+    out, raises CapacityError.  A block waits whole for the next span's
+    first prime; it is the only one held here, so a consumer that drops
+    each block it was given holds none while the next window is marked.
+    An interval without primes yields one block, empty, with its p_e.  The
+    cap applies to y; the look-ahead past y may pass it.
     """
     x, y = _interval(x, y)
     hi = y + _probe_width(y)
@@ -504,7 +484,7 @@ def interval_windows(x: int, y: int) -> Iterator[tuple[np.ndarray, int]]:
                 yield seg[:cut], int(seg[cut])
             return
         held = seg
-    yield held, next_prime_after(hi)
+    raise CapacityError(f"no prime in the look-ahead ({y}, {hi}] past the interval")
 
 
 def interval_primes(x: int, y: int) -> IntervalPrimes:

@@ -16,7 +16,7 @@ PUBLIC = [
     "cached_primes_up_to", "compute_constants", "derived_constants", "interval_primes",
     "interval_windows", "iter_prime_segments", "lemma1_report", "lemma2_report",
     "load_cache", "log_t_product", "max_element", "max_gap_up_to", "mean_limit",
-    "mertens_report", "min_element", "next_prime_after", "power_mean", "prime_count",
+    "mertens_report", "min_element", "power_mean", "prime_count",
     "prime_stream", "prime_sums", "reduce_interval", "run_selftest",
     "save_cache", "theorem1_report", "theorem1_scan", "twin_criterion",
     "twin_pairs_in",

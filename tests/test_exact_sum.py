@@ -7,6 +7,7 @@ the block size, and hold a fixed buffer beyond the sieve window.
 import math
 import struct
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -43,13 +44,14 @@ def test_exact_sum_matches_fsum_in_any_batches(terms, cuts, fold_at):
     want = bits(math.fsum(terms))
     assert bits(ExactSum(terms).value) == want
     # with a small fold threshold the buckets fold many times
-    acc = ExactSum(_fold_at=fold_at)
-    edges = sorted({0, len(terms), *(c for c in cuts if c < len(terms))})
-    for a, b in zip(edges, edges[1:]):
-        acc.add(np.array(terms[a:b]))
-        # reading the value mid-stream leaves the state alone
-        assert bits(acc.value) == bits(math.fsum(terms[:b]))
-    assert bits(acc.value) == want
+    with mock.patch.object(analytic, "_FOLD_AT", fold_at):
+        acc = ExactSum()
+        edges = sorted({0, len(terms), *(c for c in cuts if c < len(terms))})
+        for a, b in zip(edges, edges[1:]):
+            acc.add(np.array(terms[a:b]))
+            # reading the value mid-stream leaves the state alone
+            assert bits(acc.value) == bits(math.fsum(terms[:b]))
+        assert bits(acc.value) == want
 
 
 @PROPERTY_SETTINGS
@@ -79,17 +81,19 @@ def test_exact_sum_top_binade_and_non_finite_fall_back_to_fsum():
     ]
     for terms in cases:
         assert bits(ExactSum(terms).value) == bits(math.fsum(terms))
-        acc = ExactSum(_fold_at=2)
-        for v in terms:
-            acc.add([v])
+        with mock.patch.object(analytic, "_FOLD_AT", 2):
+            acc = ExactSum()
+            for v in terms:
+                acc.add([v])
         assert bits(acc.value) == bits(math.fsum(terms))
     with pytest.raises(ValueError):
         ExactSum([math.inf, -math.inf]).value   # as fsum: -inf + inf
 
 
 def test_exact_sum_folds_its_buckets_past_the_threshold():
-    acc = ExactSum(_fold_at=3)
-    acc.add(np.arange(1.0, 11.0))
+    with mock.patch.object(analytic, "_FOLD_AT", 3):
+        acc = ExactSum()
+        acc.add(np.arange(1.0, 11.0))
     assert acc._parts                       # the buckets were folded
     assert acc.value == 55.0
 
@@ -141,10 +145,11 @@ def narrow_terms(draw):
     fold_at=st.one_of(st.integers(1, 16), st.just(1 << 26)),
 )
 def test_narrow_span_terms_match_fsum_in_any_batches(terms, cuts, fold_at):
-    acc = ExactSum(_fold_at=fold_at)
-    edges = sorted({0, len(terms), *(c for c in cuts if c < len(terms))})
-    for a, b in zip(edges, edges[1:]):
-        acc.add(np.array(terms[a:b]))
+    with mock.patch.object(analytic, "_FOLD_AT", fold_at):
+        acc = ExactSum()
+        edges = sorted({0, len(terms), *(c for c in cuts if c < len(terms))})
+        for a, b in zip(edges, edges[1:]):
+            acc.add(np.array(terms[a:b]))
     assert bits(acc.value) == bits(math.fsum(terms))
 
 

@@ -1,11 +1,11 @@
 """One sieve pass per interval report and per prime-sum command, and scan
 rows that survive a crashed worker or a pool broken at submit.
 
-The sieve-work tests wrap sieve._marked_windows, the generator of marked
-windows, with a counter: every reader of the sieve in the package
-(iter_prime_segments and through it interval_windows, next_prime_after,
-twin_pairs_in and prime_stream, and the counting prime_summary) goes
-through it.  A report over (x, y] sieves (x, y + w]
+The sieve-work tests count the calls of sieve._marked_windows, the
+generator of marked windows (the `sieved` fixture, conftest.py): every
+reader of the sieve in the package (iter_prime_segments and through it
+interval_windows, twin_pairs_in and prime_stream, and the counting
+prime_summary) goes through it.  A report over (x, y] sieves (x, y + w]
 in one call, w the look-ahead that holds the successor prime of y.  A
 prime-sum command sieves (1, max(x, cutoff)] once.
 """
@@ -24,22 +24,8 @@ from twinmeans.errors import CapacityError, EmptySetError
 import _oracles as oracle
 
 
-@pytest.fixture
-def sieved(monkeypatch):
-    """(lo, hi) of every _marked_windows call made while the test runs."""
-    spans = []
-    real = sieve._marked_windows
-
-    def counting(lo, hi, *args, **kwargs):
-        spans.append((int(lo), int(hi)))
-        return real(lo, hi, *args, **kwargs)
-
-    monkeypatch.setattr(sieve, "_marked_windows", counting)
-    return spans
-
-
 def probe_window(y: int) -> int:
-    """The look-ahead past y: the first window next_prime_after(y) sieves."""
+    """The look-ahead past y that an interval pass sieves with (x, y]."""
     return max(64, int(math.log(y) ** 2) + 1)
 
 
@@ -123,15 +109,20 @@ def test_interval_without_primes_sieves_once(sieved, x, y, p_e):
     "p,width", [(23, 1), (999_983, 8), (1_294_268_491, 64)]   # gaps 6, 20, 288
 )
 def test_successor_past_a_look_ahead_without_primes(monkeypatch, sieved, p, width):
-    """When (y, y + w] holds no prime, interval_windows searches on with
-    next_prime_after(y + w), and p_e is still the successor of y."""
+    """When (y, y + w] holds no prime, interval_primes and reduce_interval
+    raise CapacityError after their one pass; nothing searches on.  Up to
+    the cap the look-ahead always holds a prime (the maximal-gap tests of
+    test_sieve.py), so only a narrower look-ahead, as here, reaches this."""
     x, y = p - 1, p + 1
+    assert oracle.next_prime(y) > y + width
     monkeypatch.setattr(sieve, "_probe_width", lambda n: width)
-    ip = sieve.interval_primes(x, y)
-    assert ip.primes.tolist() == [p]
-    assert ip.p_e == oracle.next_prime(y)
-    assert sieved[:2] == [(x, y + width), (y + width, y + 2 * width)]
-    assert means.reduce_interval(x, y).p_e == ip.p_e
+    with pytest.raises(CapacityError, match=rf"no prime in the look-ahead \({y}, {y + width}\]"):
+        sieve.interval_primes(x, y)
+    assert sieved == [(x, y + width)]
+    sieved.clear()
+    with pytest.raises(CapacityError, match="no prime in the look-ahead"):
+        means.reduce_interval(x, y)
+    assert sieved == [(x, y + width)]
 
 
 def test_twin_criterion_at_the_cap(sieved):

@@ -54,7 +54,7 @@ def test_primes_up_to_2e7_count():
 def test_prime_seq_dtype_and_limit():
     assert all(seg.dtype == np.int64 for seg in sieve.iter_prime_segments(1, 50))
     ps = oracle.sieved_upto(50)
-    assert ps[-1] <= 50 < sieve.next_prime_after(int(ps[-1]))   # every prime up to the limit
+    assert ps[-1] <= 50 < oracle.next_prime(int(ps[-1]))   # every prime up to the limit
 
 
 @pytest.mark.parametrize("segment_size", [16, 17, 64, 1024, 4096])
@@ -109,7 +109,14 @@ def test_capacity_cap_rejected_before_work():
 
 
 # ---------------------------------------------------------------------------
-# next_prime_after / interval_primes
+# the successor prime / interval_primes
+
+
+def successor(n: int) -> int:
+    """The first prime of the one look-ahead past n, as an interval pass
+    that ends at n sieves it."""
+    hi = n + sieve._probe_width(n)
+    return int(next(sieve.iter_prime_segments(n, hi, max_limit=hi))[0])
 
 
 @pytest.mark.parametrize(
@@ -117,43 +124,48 @@ def test_capacity_cap_rejected_before_work():
     [(1, 2), (2, 3), (3, 5), (7, 11), (89, 97), (113, 127), (10**6, 1_000_003)],
 )
 def test_next_prime_after_known(n, expected):
-    assert sieve.next_prime_after(n) == expected
+    assert successor(n) == expected
+    if n >= 2:
+        assert sieve.interval_primes(n - 1, n).p_e == expected
 
 
 @pytest.mark.parametrize("n,expected", [(10**12, 10**12 + 39), (10**14, 10**14 + 31)])
 def test_next_prime_after_far_past_the_cap(monkeypatch, n, expected):
-    """next_prime_after refuses n far past the cap; the int64 first-multiple
-    arithmetic of the windows it would sieve stays exact there."""
+    """An interval ending at n far past the cap is refused; the int64
+    first-multiple arithmetic of the look-ahead past n stays exact there."""
     with pytest.raises(CapacityError):
-        sieve.next_prime_after(n)
+        sieve.interval_primes(n - 1, n)
     monkeypatch.setattr(sieve, "_base", sieve._base)   # 1e14 grows the table to 2^24
-    hi = n + sieve._probe_width(n)
-    assert int(next(sieve.iter_prime_segments(n, hi, max_limit=hi))[0]) == expected
+    assert successor(n) == expected
 
 
-def test_next_prime_after_refused_past_the_cap_before_sieving(monkeypatch):
-    # the last n an interval pass at the cap asks for is MAX_SIEVE_LIMIT
+def test_next_prime_after_refused_past_the_cap_before_sieving(monkeypatch, sieved):
+    # the last integer an interval pass at the cap sieves is MAX_SIEVE_LIMIT
     # plus its probe width, 531; without the cap 1e20 would sieve its base
     # primes to 2^34, 16 GiB of flags
-    cap = sieve.MAX_SIEVE_LIMIT + sieve._probe_width(sieve.MAX_SIEVE_LIMIT)
-    assert cap == sieve.MAX_SIEVE_LIMIT + 531
-    assert sieve.next_prime_after(sieve.MAX_SIEVE_LIMIT) == 10_000_000_019
-    assert sieve.next_prime_after(cap) == oracle.next_prime(cap)
+    top = sieve.MAX_SIEVE_LIMIT
+    cap = top + sieve._probe_width(top)
+    assert cap == top + 531
+    assert sieve.interval_primes(top - 1, top).p_e == 10_000_000_019
+    assert sieved == [(top - 1, cap)]
+    assert successor(cap) == oracle.next_prime(cap)
 
     def no_sieving(limit):
         raise AssertionError(f"sieved base primes to {limit}")
 
     monkeypatch.setattr(sieve, "_dense_primes", no_sieving)
-    for n in (cap + 1, 10**12, 10**20):
+    for y in (top + 1, 10**12, 10**20):
         with pytest.raises(CapacityError):
-            sieve.next_prime_after(n)
+            sieve.interval_primes(y - 1, y)
 
 
 def test_next_prime_after_random_sweep():
     rng = random.Random(7)
     for _ in range(200):
         n = rng.randrange(1, 100_000)
-        assert sieve.next_prime_after(n) == oracle.next_prime(n)
+        assert successor(n) == oracle.next_prime(n)
+        if n >= 2:
+            assert sieve.interval_primes(n - 1, n).p_e == oracle.next_prime(n)
 
 
 # (p, g): the maximal prime gaps, each the first gap g = q - p between
@@ -173,8 +185,8 @@ MAXIMAL_GAPS = [
 
 def test_probe_width_reaches_the_next_prime_up_to_the_cap():
     """_probe_width(n) covers every prime gap that starts at or below n, so
-    the first look-ahead of next_prime_after and interval_windows finds the
-    successor prime for every n up to the cap.
+    the one look-ahead of interval_windows finds the successor prime for
+    every n up to the cap.
 
     Between two records the gaps are at most the last record's, and the
     width only grows with n, so g <= _probe_width(p) at each record p is
@@ -193,6 +205,16 @@ def test_probe_width_reaches_the_next_prime_up_to_the_cap():
     first = np.flatnonzero(gaps > np.maximum.accumulate(np.concatenate(([0], gaps[:-1]))))
     found = list(zip(ps[first].tolist(), gaps[first].tolist()))
     assert found == [(p, g) for p, g in MAXIMAL_GAPS if p + g <= 10**7]
+
+
+@pytest.mark.parametrize("p,g", MAXIMAL_GAPS)
+def test_one_pass_finds_the_successor_at_each_maximal_gap(sieved, p, g):
+    """y = p is the worst case of each record: the interval (p - 1, p] and
+    the successor p + g come from the one look-ahead past p."""
+    ip = sieve.interval_primes(p - 1, p)
+    assert ip.primes.tolist() == [p]
+    assert ip.p_e == p + g
+    assert sieved == [(p - 1, p + sieve._probe_width(p))]
 
 
 def test_interval_10_20():
