@@ -27,6 +27,10 @@ done
 
 echo "== console script"
 $tw criterion --x 10 --y 20 --format json
+# the exact sup as printed: a twinless window's, and the twin sup 1 beside
+# the strict threshold
+$tw criterion --x 10000000 --y 10000100 --format json | grep -q '"M_inf_exact": "10000079/10000101"'
+$tw criterion --x 10 --y 20 --format csv | grep -q ',19/21,1,1,true,'
 $tw criterion --x 999999000 --y 999999600 --format json
 $tw criterion --x 1e9 --y 1.01e9 --format csv
 $tw primes --limit 1e6 --format json

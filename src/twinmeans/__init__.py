@@ -26,7 +26,6 @@ from .means import (
     IntervalReduction,
     MeanLimit,
     MeanValue,
-    RatioElement,
     RatioSet,
     build_ratio_set,
     max_element,
@@ -89,7 +88,6 @@ __all__ = [
     "MeanValue",
     "PrimeFile",
     "ProductMethod",
-    "RatioElement",
     "RatioSet",
     "SelftestReport",
     "Theorem1Row",

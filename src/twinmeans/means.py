@@ -1,14 +1,14 @@
 """Ratio sets over prime intervals and numerically stable power means.
 
 A ratio set is its interval primes as an int64 array plus the successor
-prime, and the sequence of its elements; the RatioElement objects, exact
-integer pairs, are made only on demand; reduce_interval takes an interval
-one block of primes at a time, so that a report's memory does not grow
-with the interval.  Every decision
-between ratios is exact: a float may narrow the candidates, but Python-int
-cross-multiplication settles them.  The float reductions are exact sums
-(analytic.ExactSum); the geometric mean of a ratio set is T^(1/pi), T the
-ratio product by the DIRECT route of analytic.IntervalProduct.
+prime, and the sequence of its elements; an element is an exact Fraction,
+made only on demand; reduce_interval takes an interval one block of primes
+at a time, so that a report's memory does not grow with the interval.
+Every decision between ratios is exact: a float may narrow the candidates,
+but Fraction's Python-int cross-multiplication settles them.  The float
+reductions are exact sums (analytic.ExactSum); the geometric mean of a
+ratio set is T^(1/pi), T the ratio product by the DIRECT route of
+analytic.IntervalProduct.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, total_ordering
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -35,60 +35,25 @@ class MeanLimit(Enum):
     MINUS_INF = "minus_inf"
 
 
-@total_ordering
-@dataclass(slots=True, eq=False)
-class RatioElement:
-    """Exact ratio p/(q-2) for consecutive primes p < q, as an integer pair.
-
-    For primes above 2 the gap is at least 2, so num <= den and the value
-    sits in (0, 1]; it equals 1 exactly when (p, p+2) is a twin pair.
-    """
-
-    num: int
-    den: int
-
-    def __post_init__(self):
-        if self.num < 2 or self.den < self.num:
-            raise ValueError(f"invalid ratio pair ({self.num}, {self.den})")
-
-    @property
-    def value(self) -> float:
-        return self.num / self.den
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.num, self.den)
-
-    def __eq__(self, other):
-        if not isinstance(other, RatioElement):
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    def __lt__(self, other):
-        if not isinstance(other, RatioElement):
-            return NotImplemented
-        return self.num * other.den < other.num * self.den
-
-    __hash__ = None  # mutable dataclass with value equality; keep it unhashable
-
-
 @dataclass(eq=False)
-class RatioSet(Sequence[RatioElement]):
+class RatioSet(Sequence[Fraction]):
     """Ratio set of a prime interval (x, y]: one p_n/(p_{n+1}-2) per prime.
 
     Held as the interval primes (int64, increasing, all above 2) plus p_e,
     the first prime past y.  The set is the sequence of its elements:
-    element n is the RatioElement p_n/(p_{n+1}-2), made on access, so the
+    element n is the Fraction p_n/(p_{n+1}-2), made on access, so the
     sequence costs nothing per prime.  The excess k_n = p_{n+1} - 2 - p_n
     >= 0 orders the elements: p_n/(p_n + k_n) = 1/(1 + k_n/p_n), so a
     smaller k/p is a larger element and k_n == 0 is exactly 1, a twin pair
-    (p_n, p_n + 2).  k and values are built once, on first use, each
-    straight into its own array.  The exact sup and inf are found once per
-    set, on first use, one block of at most sieve._BLOCK elements at a time:
-    a float k/p (a correctly rounded, hence monotone, quotient) narrows the
-    candidates and RatioElement's order settles them: max() or min() of
-    the candidates of every block, the first of equals, so it is the first
-    element that attains it.  No product of two primes is formed in int64;
-    near the 1e10 cap it would pass 2^63.
+    (p_n, p_n + 2).  Otherwise 0 < k_n < p_n (Bertrand), so the element is
+    in lowest terms with numerator p_n: a sup or inf below 1 names, by its
+    numerator, the element that attains it.  k and values are built once,
+    on first use, each straight into its own array.  The exact sup and inf
+    are found once per set, on first use, one block of at most sieve._BLOCK
+    elements at a time: a float k/p (a correctly rounded, hence monotone,
+    quotient) narrows the candidates and max() or min() of the Fractions
+    of every block's candidates settles them.  No product of two primes is
+    formed in int64; near the 1e10 cap it would pass 2^63.
     """
 
     x: int
@@ -111,10 +76,10 @@ class RatioSet(Sequence[RatioElement]):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
         p = int(self.primes[i])   # numpy indexing: negative indices, IndexError past the end
-        return RatioElement(p, p + int(self.k[i]))
+        return Fraction(p, p + int(self.k[i]))
 
-    def __iter__(self) -> Iterator[RatioElement]:
-        return map(RatioElement, self.primes.tolist(), (self.primes + self.k).tolist())
+    def __iter__(self) -> Iterator[Fraction]:
+        return map(Fraction, self.primes.tolist(), (self.primes + self.k).tolist())
 
     @property
     def elements(self) -> "RatioSet":
@@ -132,14 +97,14 @@ class RatioSet(Sequence[RatioElement]):
         return np.divide(self.primes, v, out=v)
 
     @cached_property
-    def sup(self) -> RatioElement:
+    def sup(self) -> Fraction:
         return self._extreme(top=True)
 
     @cached_property
-    def inf(self) -> RatioElement:
+    def inf(self) -> Fraction:
         return self._extreme(top=False)
 
-    def _extreme(self, top: bool) -> RatioElement:
+    def _extreme(self, top: bool) -> Fraction:
         ps, k = self.primes, self.k
         f = np.empty(min(ps.size, sieve._BLOCK))
         candidates = []
@@ -149,7 +114,7 @@ class RatioSet(Sequence[RatioElement]):
             j = int(np.argmin(q) if top else np.argmax(q))
             # every k == 0 element is exactly 1: no tie to settle
             ties = [j] if kk[j] == 0 else np.flatnonzero(q == q[j]).tolist()
-            candidates += (RatioElement(int(p[t]), int(p[t]) + int(kk[t])) for t in ties)
+            candidates += (Fraction(int(p[t]), int(p[t]) + int(kk[t])) for t in ties)
         return (max if top else min)(candidates)
 
 
@@ -183,7 +148,7 @@ class IntervalReduction:
     p_s: int
     P: int
     p_e: int
-    sup: Optional[RatioElement]
+    sup: Optional[Fraction]
     twin_lower: Optional[np.ndarray]
     product: IntervalProduct
 
@@ -206,9 +171,9 @@ def reduce_interval(
     the block and its set are dropped before the next block is asked for.
     Each adds its count, the log T terms of `methods` and, when asked, its
     exact sup and twin lower primes; the overall sup is max() of the block
-    sups, exact by RatioElement's order and the first of equals, so it names
-    the first element that attains it.  Every value equals that of the whole
-    set (interval_primes).  An interval without primes, one empty block,
+    sups, an exact Fraction whose numerator names the element that attains
+    it when it is below 1.  Every value equals that of the whole set
+    (interval_primes).  An interval without primes, one empty block,
     raises EmptySetError.
     """
     x, y = int(x), int(y)
@@ -241,20 +206,21 @@ def reduce_interval(
     )
 
 
-def max_element(rs: RatioSet) -> RatioElement:
+def max_element(rs: RatioSet) -> Fraction:
     """The exact sup of a ratio set, rs.sup: the means' call for it, which
     perfbench times as means.sup_s."""
     return rs.sup
 
 
-def min_element(rs: RatioSet) -> RatioElement:
+def min_element(rs: RatioSet) -> Fraction:
     """The exact inf of a ratio set, rs.inf: the means' call for it, which
     perfbench times as means.sup_s."""
     return rs.inf
 
 
 # The inputs of power_mean and mean_limit: a ratio set, or plain floats.
-# A list of RatioElement is neither: float() refuses it.
+# A list of the set's Fractions is taken through float(), each correctly
+# rounded, so its power means and +-inf limits are the set's, bit for bit.
 Values = Union[RatioSet, Sequence[float]]
 
 
@@ -300,7 +266,7 @@ def power_mean(values: Values, alpha: float) -> MeanValue:
         # a ratio value is one correctly rounded division and m is the value
         # of the exact extreme element; rounding is monotone, so every v/m
         # lies on the same side of 1 as the exact ratio does
-        vals, m = values.values, (max_element if top else min_element)(values).value
+        vals, m = values.values, float((max_element if top else min_element)(values))
     else:
         vals = _checked_floats(values, "power mean")
         m = float(vals.max() if top else vals.min())
@@ -332,7 +298,7 @@ def mean_limit(values: Values, which: MeanLimit) -> MeanValue:
         if which is MeanLimit.ZERO:
             value = math.exp(_log_t(values.primes, values.p_e, ProductMethod.DIRECT) / n)
         else:   # the cached extreme: no values array
-            value = (max_element if top else min_element)(values).value
+            value = float((max_element if top else min_element)(values))
     else:
         vals = _checked_floats(values, "mean limit")
         n = int(vals.size)

@@ -166,7 +166,7 @@ def theorem1_report(x: int, c: float) -> Theorem1Row:
         interval=bs,
         pi_interval=n,
         m0=math.exp(log_t / n),
-        m_inf=iv.sup.as_fraction(),
+        m_inf=iv.sup,
         lower_bound=1.0 - c / bs.x_beta,
         criterion_threshold=Fraction(iv.P, iv.P + 2),
         residual=bs.x_beta * one_minus_m0 / c - 1.0,
@@ -205,15 +205,14 @@ def twin_criterion(x: int, y: int) -> CriterionReport:
     scan; the two are computed independently and both reported.
     """
     iv = means.reduce_interval(x, y, sup=True)
-    m_inf = iv.sup.as_fraction()
     threshold = Fraction(iv.P, iv.P + 2)
     return CriterionReport(
         x=int(x),
         y=int(y),
         P=iv.P,
         threshold=threshold,
-        m_inf=m_inf,
-        decision=m_inf > threshold,
+        m_inf=iv.sup,
+        decision=iv.sup > threshold,
         brute_force_twins=TwinPairs(sieve.twin_pairs_in(x, y)),
     )
 

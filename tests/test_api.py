@@ -11,7 +11,7 @@ PUBLIC = [
     "ConstantsBundle", "CriterionReport", "DEFAULT_SEGMENT_SIZE", "EULER_GAMMA",
     "EmptySetError", "ExactSum", "GapRecord", "IntervalPrimes", "IntervalProduct",
     "IntervalReduction", "MAX_SIEVE_LIMIT", "MeanLimit", "MeanValue", "PrimeFile",
-    "ProductMethod", "RatioElement", "RatioSet", "SelftestReport",
+    "ProductMethod", "RatioSet", "SelftestReport",
     "Theorem1Row", "TwinPairs", "__version__", "beta_for", "build_ratio_set",
     "cached_primes_up_to", "compute_constants", "derived_constants", "interval_primes",
     "interval_windows", "iter_prime_segments", "lemma1_report", "lemma2_report",

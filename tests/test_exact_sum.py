@@ -107,7 +107,7 @@ def test_power_means_are_the_fsum_of_their_terms():
     rs = means.build_ratio_set(sieve.interval_primes(10**6, 1_010_000))
     vals, n = rs.values, len(rs)
     for alpha in (-800.0, -1.0, 0.5, 2.0, 800.0):
-        m = (rs.sup if alpha > 0 else rs.inf).value
+        m = float(rs.sup if alpha > 0 else rs.inf)
         s = math.fsum(((vals / m) ** alpha).tolist()) / n
         assert means.power_mean(rs, alpha).value == m * s ** (1.0 / alpha)
     logs = np.log1p(-rs.k / (rs.primes + rs.k))

@@ -8,71 +8,88 @@ import pytest
 
 from twinmeans import analytic, means, sieve, verify
 from twinmeans.errors import EmptySetError
-from twinmeans.means import MeanLimit, RatioElement
+from twinmeans.means import MeanLimit
 
 import _oracles as oracle
 
 
 # ---------------------------------------------------------------------------
-# RatioElement
+# ratio elements: exact Fractions
+
+
+def pairs(rs):
+    """The integer pairs (p_n, p_{n+1} - 2) of a ratio set, from its arrays."""
+    return list(zip(rs.primes.tolist(), (rs.primes + rs.k).tolist()))
 
 
 def test_ratio_element_value_and_fraction():
-    e = RatioElement(13, 15)
-    assert e.value == 13 / 15
-    assert e.as_fraction() == Fraction(13, 15)
-    assert e.as_fraction() != 1
-    assert RatioElement(17, 17).as_fraction() == 1
+    rs = means.build_ratio_set(sieve.interval_primes(10, 20))
+    e = rs[1]
+    assert float(e) == 13 / 15
+    assert e == Fraction(13, 15)
+    assert e != 1
+    assert rs[2] == 1          # 17/17
+
+
+def oracle_sweep():
+    """80 random intervals (x, y] below 2,300 (seed 5), each with its ratio
+    set, unless it holds no prime."""
+    rng = random.Random(5)
+    for _ in range(80):
+        x = rng.randrange(2, 2_000)
+        y = x + rng.randrange(1, 300)
+        ip = sieve.interval_primes(x, y)
+        if ip.primes.size:
+            yield x, y, means.build_ratio_set(ip)
 
 
 def test_ratio_element_invariants_enforced():
-    with pytest.raises(ValueError):
-        RatioElement(1, 3)     # numerator below 2
-    with pytest.raises(ValueError):
-        RatioElement(5, 4)     # value above 1
-    with pytest.raises(ValueError):
-        RatioElement(3, 0)
-    RatioElement(2, 2)         # boundary case is fine
+    # element p/(q-2) lies in (0, 1]: it is 1 for a twin pair q = p + 2, and
+    # otherwise in lowest terms, numerator p, since 0 < q - 2 - p < p
+    for x, y, rs in oracle_sweep():
+        ps = oracle.primes_between(x, y)
+        seq = ps + [oracle.next_prime(ps[-1])]
+        for e, p, q in zip(rs, seq, seq[1:]):
+            assert 0 < e <= 1
+            if q == p + 2:
+                assert e == 1
+            else:
+                assert (e.numerator, e.denominator) == (p, q - 2)
 
 
 def test_ratio_element_exact_comparisons():
-    assert RatioElement(13, 15) < RatioElement(19, 21)   # 273 < 285
-    assert RatioElement(19, 21) > RatioElement(13, 15)
-    assert RatioElement(2, 4) == RatioElement(3, 6)      # both 1/2
-    assert RatioElement(2, 4) <= RatioElement(3, 6)
-    assert RatioElement(2, 4) >= RatioElement(3, 6)
-    assert RatioElement(11, 11) == RatioElement(97, 97)
-    assert RatioElement(13, 15) != RatioElement(13, 14)
+    assert Fraction(13, 15) < Fraction(19, 21)   # 273 < 285
+    assert Fraction(19, 21) > Fraction(13, 15)
+    assert Fraction(2, 4) == Fraction(3, 6)      # both 1/2
+    assert Fraction(2, 4) <= Fraction(3, 6)
+    assert Fraction(2, 4) >= Fraction(3, 6)
+    assert Fraction(11, 11) == Fraction(97, 97)
+    assert Fraction(13, 15) != Fraction(13, 14)
 
 
 def test_ratio_element_comparison_matches_fractions():
+    # the order of the elements is the integer cross-multiplication
     rng = random.Random(3)
     for _ in range(300):
         a_num = rng.randrange(2, 500)
-        a = RatioElement(a_num, rng.randrange(a_num, a_num + 200))
+        a_den = rng.randrange(a_num, a_num + 200)
         b_num = rng.randrange(2, 500)
-        b = RatioElement(b_num, rng.randrange(b_num, b_num + 200))
-        assert (a < b) == (a.as_fraction() < b.as_fraction())
-        assert (a == b) == (a.as_fraction() == b.as_fraction())
-        assert (a <= b) == (a.as_fraction() <= b.as_fraction())
-        assert (a > b) == (a.as_fraction() > b.as_fraction())
-        assert (a >= b) == (a.as_fraction() >= b.as_fraction())
+        b_den = rng.randrange(b_num, b_num + 200)
+        a, b = Fraction(a_num, a_den), Fraction(b_num, b_den)
+        assert (a < b) == (a_num * b_den < b_num * a_den)
+        assert (a == b) == (a_num * b_den == b_num * a_den)
+        assert (a <= b) == (a_num * b_den <= b_num * a_den)
+        assert (a > b) == (a_num * b_den > b_num * a_den)
+        assert (a >= b) == (a_num * b_den >= b_num * a_den)
 
 
-def test_ratio_element_compares_only_with_ratio_elements():
-    r = RatioElement(3, 5)
+def test_ratio_element_compares_exactly_with_floats():
+    # a float is compared by its exact value, not by rounding the element
+    r = Fraction(3, 5)
     assert r != 0.6 and not (r == 0.6)
-    for op in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__"):
-        assert getattr(r, op)(0.6) is NotImplemented
-    with pytest.raises(TypeError):
-        r < 0.6
-    with pytest.raises(TypeError):
-        r >= Fraction(3, 5)
-
-
-def test_ratio_element_not_hashable():
-    with pytest.raises(TypeError):
-        hash(RatioElement(3, 5))
+    assert r > 0.6 and r >= 0.6 and not (r < 0.6)   # the double 0.6 lies below 3/5
+    assert float(r) == 0.6
+    assert r >= Fraction(3, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -81,24 +98,27 @@ def test_ratio_element_not_hashable():
 
 def test_ratio_set_10_20():
     rs = means.build_ratio_set(sieve.interval_primes(10, 20))
-    assert [(e.num, e.den) for e in rs] == [
+    assert pairs(rs) == [
         (11, 11),
         (13, 15),
         (17, 17),
         (19, 21),
     ]
+    assert list(rs) == [1, Fraction(13, 15), 1, Fraction(19, 21)]
     assert (rs.x, rs.y) == (10, 20)
 
 
 def test_ratio_set_uses_successor_prime_beyond_y():
     # single prime 97 in (89, 97]; its successor 101 lies outside
     rs = means.build_ratio_set(sieve.interval_primes(89, 97))
-    assert [(e.num, e.den) for e in rs] == [(97, 99)]
+    assert pairs(rs) == [(97, 99)]
+    assert list(rs) == [Fraction(97, 99)]
 
 
 def test_ratio_set_2_3():
     rs = means.build_ratio_set(sieve.interval_primes(2, 3))
-    assert [(e.num, e.den) for e in rs] == [(3, 3)]
+    assert pairs(rs) == [(3, 3)]
+    assert list(rs) == [1]
 
 
 def test_ratio_set_rejects_prime_two():
@@ -113,21 +133,14 @@ def test_ratio_set_empty_interval():
 
 
 def test_ratio_set_matches_oracle_sweep():
-    rng = random.Random(5)
-    for _ in range(80):
-        x = rng.randrange(2, 2_000)
-        y = x + rng.randrange(1, 300)
-        ip = sieve.interval_primes(x, y)
-        if ip.primes.size == 0:
-            continue
-        rs = means.build_ratio_set(ip)
-        assert [e.as_fraction() for e in rs] == oracle.ratio_elements(x, y)
+    for x, y, rs in oracle_sweep():
+        assert list(rs) == oracle.ratio_elements(x, y)
 
 
 def test_max_min_element():
     rs = means.build_ratio_set(sieve.interval_primes(10, 20))
-    assert means.max_element(rs).as_fraction() == 1
-    assert means.min_element(rs).as_fraction() == Fraction(13, 15)
+    assert means.max_element(rs) == 1
+    assert means.min_element(rs) == Fraction(13, 15)
 
 
 # ---------------------------------------------------------------------------
@@ -199,14 +212,14 @@ def test_power_mean_matches_textbook_formula():
 def test_power_mean_ratio_matches_exact_fraction():
     rs = means.build_ratio_set(sieve.interval_primes(10, 20))
     for alpha in (-3, -1, 1, 2, 5):
-        exact = sum(e.as_fraction() ** alpha for e in rs) / Fraction(4)
+        exact = sum(e ** alpha for e in rs) / Fraction(4)
         got = means.power_mean(rs, float(alpha)).value
         assert got == pytest.approx(float(exact) ** (1.0 / alpha), rel=1e-14)
 
 
 def test_power_mean_ratio_agrees_with_float_path():
     rs = means.build_ratio_set(sieve.interval_primes(100, 200))
-    vals = [e.value for e in rs]
+    vals = [float(e) for e in rs]
     for alpha in (-8.0, -1.0, 0.5, 2.0, 8.0):
         a = means.power_mean(rs, alpha).value
         b = means.power_mean(vals, alpha).value
@@ -229,7 +242,7 @@ def test_mean_limit_zero_matches_exact_product():
     rs = means.build_ratio_set(sieve.interval_primes(10, 20))
     exact = Fraction(1)
     for e in rs:
-        exact *= e.as_fraction()
+        exact *= e
     got = means.mean_limit(rs, MeanLimit.ZERO)
     assert got.value == pytest.approx(float(exact) ** 0.25, rel=1e-15)
     assert got.alpha == 0.0

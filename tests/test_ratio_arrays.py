@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 from twinmeans import analytic, means, sieve, verify
 from twinmeans.analytic import ProductMethod
 from twinmeans.errors import EmptySetError
-from twinmeans.means import MeanLimit, RatioElement, RatioSet
+from twinmeans.means import MeanLimit, RatioSet
 from twinmeans.sieve import IntervalPrimes
 
 import _oracles as oracle
@@ -30,6 +30,15 @@ import _oracles as oracle
 NEAR_CAP = (10**10 - 3000, 10**10)
 NEAR_CAP_TWINLESS = (9_999_998_611, 9_999_999_016)   # between two twin pairs
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+SESSION_ALPHAS = [-800.0, -100.0, -10.0, -1.0, 1.0, 10.0, 100.0, 800.0]
+# the intervals (x, floor(x^beta)) of perfbench's ratio_means session at seed
+# 1, c = 0.444902, 1.697999, 2.640372, 3.416977: 75,688 to 83,188 elements
+SESSION_INTERVALS = [
+    (53_368_102, 54_719_379),
+    (11_699_547, 12_986_124),
+    (7_064_700, 8_352_275),
+    (5_256_257, 6_554_989),
+]
 
 
 def ratio_set(x, y):
@@ -38,7 +47,7 @@ def ratio_set(x, y):
 
 def twin_pairs(rs):
     """The twin pairs (p, p+2) of a ratio set: its elements equal to 1."""
-    return [(e.num, e.num + 2) for e in rs if e.num == e.den]
+    return [(p, p + 2) for p, e in zip(rs.primes.tolist(), rs) if e == 1]
 
 
 # ---------------------------------------------------------------------------
@@ -54,9 +63,17 @@ def near_cap():
 def test_near_cap_sup_inf_exact(near_cap):
     rs, fracs = near_cap
     assert rs.primes[-1] > 2**33                 # p*q > 2^66: no int64 product fits
-    assert [e.as_fraction() for e in rs] == fracs
-    assert rs.sup.as_fraction() == max(fracs) == 1
-    assert rs.inf.as_fraction() == min(fracs)
+    assert list(rs) == fracs
+    assert rs.sup == max(fracs) == 1
+    assert rs.inf == min(fracs)
+    # 0 < q - 2 - p < p (Bertrand): a non-twin element keeps numerator p
+    ps = oracle.primes_between(*NEAR_CAP)
+    seq = ps + [oracle.next_prime(ps[-1])]
+    for e, p, q in zip(rs, seq, seq[1:]):
+        if q == p + 2:
+            assert e == 1
+        else:
+            assert (e.numerator, e.denominator) == (p, q - 2)
 
 
 def test_near_cap_twin_pairs(near_cap):
@@ -78,8 +95,8 @@ def test_near_cap_twinless_window_is_exact():
     rs = ratio_set(x, y)
     fracs = oracle.ratio_elements(x, y)
     assert twin_pairs(rs) == []
-    assert rs.sup.as_fraction() == max(fracs) < 1
-    assert rs.inf.as_fraction() == min(fracs)
+    assert rs.sup == max(fracs) < 1
+    assert rs.inf == min(fracs)
     rep = verify.twin_criterion(x, y)
     assert rep.m_inf == max(fracs) and rep.decision is False
     for alpha in (1, -1, 800, -800):
@@ -95,8 +112,8 @@ def test_sup_is_smallest_k_over_p_not_smallest_k():
     # synthetic arrays: k = [2, 84, 4]; 2/11 > 4/101, so 101/105 beats 11/13
     rs = RatioSet(x=10, y=110, primes=np.array([11, 15, 101]), p_e=107)
     assert rs.k.tolist() == [2, 84, 4]
-    assert rs.sup.as_fraction() == Fraction(101, 105)
-    assert rs.inf.as_fraction() == Fraction(15, 99)
+    assert rs.sup == Fraction(101, 105)
+    assert rs.inf == Fraction(15, 99)
 
 
 def test_ratio_set_rejects_empty_and_two():
@@ -110,18 +127,18 @@ def test_ratio_set_is_a_lazy_sequence():
     rs = ratio_set(10, 20)
     assert isinstance(rs, Sequence) and rs.elements is rs
     assert len(rs) == 4
-    assert (rs[0].num, rs[0].den) == (11, 11)
-    assert (rs[-1].num, rs[-1].den) == (19, 21)
-    assert [(e.num, e.den) for e in rs[1:3]] == [(13, 15), (17, 17)]
+    assert rs[0] == 1          # 11/11
+    assert (rs[-1].numerator, rs[-1].denominator) == (19, 21)
+    assert rs[1:3] == [Fraction(13, 15), 1]     # 17/17
     with pytest.raises(IndexError):
         rs[4]
-    assert RatioElement(13, 15) in rs
+    assert Fraction(13, 15) in rs
     assert means.max_element(rs) is rs.sup and means.min_element(rs) is rs.inf
 
 
 def test_means_read_the_arrays_not_the_elements(monkeypatch):
     rs = ratio_set(1_000, 3_000)
-    expected = [e.as_fraction() for e in rs]
+    expected = list(rs)
 
     def no_iteration(self):
         raise AssertionError("the ratio set was iterated")
@@ -136,29 +153,28 @@ def test_means_read_the_arrays_not_the_elements(monkeypatch):
     assert geo == pytest.approx(float(oracle.t_product_exact(1_000, 3_000)) ** (1 / len(expected)), rel=1e-14)
 
 
-def test_ratio_element_list_is_refused():
-    # the means take a ratio set or floats; a list of RatioElement is
-    # neither, and float() refuses its elements
-    rs = ratio_set(100, 400)
+@pytest.mark.parametrize("x,y", [(100, 400), *SESSION_INTERVALS])
+def test_a_list_of_elements_gives_the_set_means(x, y):
+    # float() of an element is one correctly rounded division, the bits of
+    # rs.values, and the extremes are the set's exact ones: the list's means
+    # are the set's, bit for bit (ZERO takes the product route on a set)
+    rs = ratio_set(x, y)
     listed = list(rs)
-    for alpha in (-3.0, 0.5, 7.0):
-        with pytest.raises(TypeError):
-            means.power_mean(listed, alpha)
-    for which in MeanLimit:
-        with pytest.raises(TypeError):
-            means.mean_limit(listed, which)
+    for alpha in (-3.0, 0.5, 7.0, *SESSION_ALPHAS):
+        assert means.power_mean(listed, alpha).value == means.power_mean(rs, alpha).value
+    for which in (MeanLimit.PLUS_INF, MeanLimit.MINUS_INF):
+        assert means.mean_limit(listed, which).value == means.mean_limit(rs, which).value
 
 
 # ---------------------------------------------------------------------------
 # reductions in blocks
 
-SESSION_ALPHAS = [-800.0, -100.0, -10.0, -1.0, 1.0, 10.0, 100.0, 800.0]
 BLOCKS = [1, 2, 7, 1 << 14, 1 << 20]   # 2^20 holds every set here in one block
 # hand-made (primes, p_e); the excess k_n = p_{n+1} - 2 - p_n orders them
 CRAFTED = {
     # sup is the smallest k/p, not the smallest k
     "k_over_p": ([11, 15, 101], 107),
-    # k/p = 1/5, 2/7, 1/5, 7/26, 2/7: exact ties, the first of each must win
+    # k/p = 1/5, 2/7, 1/5, 7/26, 2/7: exact ties, equal Fractions
     "exact_ties": ([10, 14, 20, 26, 35], 47),
     # k = 2 throughout and every p rounds to 2^60, so every float k/p ties;
     # the exact sup is the last element and the exact inf the first
@@ -191,8 +207,8 @@ def reductions(ip: IntervalPrimes) -> dict:
     """Every reduction of a fresh ratio set of ip: exact pairs and float bits."""
     rs = means.build_ratio_set(ip)
     return {
-        "sup": (rs.sup.num, rs.sup.den),
-        "inf": (rs.inf.num, rs.inf.den),
+        "sup": rs.sup,
+        "inf": rs.inf,
         "power": [means.power_mean(rs, a).value.hex() for a in SESSION_ALPHAS],
         "limits": [means.mean_limit(rs, w).value.hex() for w in MeanLimit],
         "log_t": [analytic.log_t_product(ip, m).hex() for m in ProductMethod],
@@ -205,8 +221,10 @@ def test_reductions_do_not_depend_on_block_size(monkeypatch, case):
     want = reductions(ip)
     fracs = [Fraction(p, q) for p, q in pairs]
     top, bottom = max(fracs), min(fracs)
-    assert want["sup"] == pairs[fracs.index(top)]      # the first element that attains it
-    assert want["inf"] == pairs[fracs.index(bottom)]
+    assert (want["sup"], want["inf"]) == (top, bottom)
+    if case in REAL:    # an extreme below 1 names its element by its numerator
+        for got in (want["sup"], want["inf"]):
+            assert got == 1 or got.numerator == pairs[fracs.index(got)][0]
     for a, got in zip(SESSION_ALPHAS, want["power"]):
         assert float.fromhex(got) == pytest.approx(oracle.power_mean_exact(fracs, int(a)), rel=1e-14)
     plus, minus, zero = (float.fromhex(want["limits"][i]) for i in (1, 2, 0))
@@ -275,8 +293,8 @@ def test_array_sup_inf_twins_match_oracle(xy):
     rs = means.build_ratio_set(ip)
     fracs = oracle.ratio_elements(x, y)
     assert len(rs) == len(fracs)
-    assert rs.sup.as_fraction() == max(fracs)
-    assert rs.inf.as_fraction() == min(fracs)
+    assert rs.sup == max(fracs)
+    assert rs.inf == min(fracs)
     assert twin_pairs(rs) == oracle.twin_pairs(x, y)
 
 

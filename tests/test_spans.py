@@ -104,7 +104,7 @@ def test_a_span_may_end_between_the_primes_of_a_twin_pair(monkeypatch, span):
     assert iv.twin_lower.tolist() == [a for a, _ in oracle.twin_pairs(x, y)]
     count = sieve.prime_count(y) - sieve.prime_count(x)      # the count reader reads no span
     assert (iv.count, iv.P, iv.p_e) == (count, rs.primes[-1], oracle.next_prime(y))
-    assert iv.sup.as_fraction() == rs.sup.as_fraction() == 1
+    assert iv.sup == rs.sup == 1
     for m in ProductMethod:
         assert iv.log_t(m) == analytic.log_t_product(sieve.interval_primes(x, y), m)
 

@@ -67,7 +67,7 @@ def materialised_row(x: int, c: float) -> Theorem1Row:
         interval=bs,
         pi_interval=n,
         m0=math.exp(log_t / n),
-        m_inf=rs.sup.as_fraction(),
+        m_inf=rs.sup,
         lower_bound=1.0 - c / bs.x_beta,
         criterion_threshold=Fraction(ip.P, ip.P + 2),
         residual=bs.x_beta * -math.expm1(log_t / n) / c - 1.0,
@@ -143,7 +143,8 @@ def split_kind(x: int, y: int, p: int) -> Optional[str]:
     rs = means.build_ratio_set(ip)
     iv = means.reduce_interval(x, y, tuple(ProductMethod), sup=True, twins=True)
     assert (iv.count, iv.p_s, iv.P, iv.p_e) == (rs.primes.size, ip.p_s, ip.P, ip.p_e)
-    assert (iv.sup.num, iv.sup.den) == (rs.sup.num, rs.sup.den) and rs.sup.num == p
+    i = int(np.searchsorted(rs.primes, p))
+    assert rs.primes[i] == p and iv.sup == rs.sup == rs[i]
     assert iv.twin_lower.tolist() == set_twins(rs)
     for m in ProductMethod:
         assert iv.log_t(m) == analytic.log_t_product(ip, m)
@@ -156,7 +157,7 @@ def split_kind(x: int, y: int, p: int) -> Optional[str]:
     blocks = list(sieve.interval_windows(x, y))
     for b, _ in blocks:    # every block lies in one span of one window
         assert span_of(int(b[0])) == span_of(int(b[-1]))
-    q = rs.sup.den + 2     # the prime after p
+    q = p + int(rs.k[i]) + 2     # the prime after p
     ends = [n for b, n in blocks if int(b[-1]) == p]
     if not ends:
         return None
@@ -167,7 +168,7 @@ def split_kind(x: int, y: int, p: int) -> Optional[str]:
 @pytest.mark.parametrize("x,y", [(10, 2_000), (10**6, 10**6 + 5_000)])
 def test_streamed_sup_is_the_first_twin(monkeypatch, x, y):
     # every twin element is exactly 1, so the block sups tie; the streamed
-    # sup must name the same element as the whole set: the first twin
+    # sup must be the whole set's, 1, the element of the first twin
     monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", 64)
     monkeypatch.setattr(sieve, "_SPAN", 7)
     blocks = list(sieve.interval_windows(x, y))
@@ -175,9 +176,9 @@ def test_streamed_sup_is_the_first_twin(monkeypatch, x, y):
     assert len(twin_blocks) > 2
     rs = means.build_ratio_set(sieve.interval_primes(x, y))
     iv = means.reduce_interval(x, y, sup=True)
-    assert (iv.sup.num, iv.sup.den) == (rs.sup.num, rs.sup.den)
+    assert iv.sup == rs.sup == 1
     p = oracle.twin_pairs(x, y)[0][0]
-    assert (rs.sup.num, rs.sup.den) == (p, p)
+    assert rs[int(np.searchsorted(rs.primes, p))] == 1
 
 
 def test_blocks_split_twin_pairs_and_the_sup_like_the_whole_interval(monkeypatch):
@@ -246,10 +247,10 @@ def test_reduction_equals_materialised_ratio_set(segment):
             continue
         iv = means.reduce_interval(x, y, sup=True, twins=True)
         assert (iv.count, iv.p_s, iv.P, iv.p_e) == (rs.primes.size, rs.primes[0], rs.primes[-1], rs.p_e)
-        assert iv.sup.as_fraction() == rs.sup.as_fraction()
+        assert iv.sup == rs.sup
         assert iv.twin_lower.tolist() == set_twins(rs)
         rep = verify.twin_criterion(x, y)
-        assert rep.m_inf == rs.sup.as_fraction() and rep.P == int(rs.primes[-1])
+        assert rep.m_inf == rs.sup and rep.P == int(rs.primes[-1])
         assert rep.decision == bool(rep.brute_force_twins)
 
 
@@ -270,8 +271,8 @@ def test_sup_of_a_twinless_interval_from_a_later_window(monkeypatch, seg):
     monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", seg)
     iv = means.reduce_interval(x, y, sup=True, twins=True)
     first, _ = next(sieve.interval_windows(x, y))
-    assert iv.sup.num > first[-1] and iv.twin_lower.size == 0
-    assert (iv.sup.num, iv.sup.den) == (rs.sup.num, rs.sup.den)
+    assert iv.sup.numerator > first[-1] and iv.twin_lower.size == 0   # below 1: numerator p
+    assert iv.sup == rs.sup
     assert verify.twin_criterion(x, y).decision is False
 
 
