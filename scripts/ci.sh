@@ -31,6 +31,11 @@ $tw criterion --x 10 --y 20 --format json
 # the strict threshold
 $tw criterion --x 10000000 --y 10000100 --format json | grep -q '"M_inf_exact": "10000079/10000101"'
 $tw criterion --x 10 --y 20 --format csv | grep -q ',19/21,1,1,true,'
+# the table's twin-pair preview, formatted from the lower-prime array: all
+# pairs, none, and the first eight with the count of the rest
+$tw criterion --x 10 --y 20 --format table | grep -q 'brute_force_twins  (11, 13) (17, 19)$'
+$tw criterion --x 10000000 --y 10000100 --format table | grep -q 'brute_force_twins  none$'
+$tw theorem1 --x 1e6 --c 1 --format table | grep -q '(1000721, 1000723) ... +536 more$'
 $tw criterion --x 999999000 --y 999999600 --format json
 $tw criterion --x 1e9 --y 1.01e9 --format csv
 $tw primes --limit 1e6 --format json

@@ -64,7 +64,7 @@ def _json_scalar(v) -> str:
 
 
 def _json_pieces(obj, indent: int = 0) -> Iterator[str]:
-    """The json text of obj in pieces.  A TwinPairs view is formatted from
+    """The json text of obj in pieces.  A TwinPairs is formatted from
     its array, JSON_PAIRS_PER_PIECE pairs a piece, so no list of its pairs
     or of their strings is ever built.  A list holding a dict puts each
     item on a line of its own."""
@@ -120,8 +120,8 @@ def _emit_row_table(fields: Sequence[str], rows: Sequence[dict], out) -> None:
         print(line.rstrip(), file=out)
 
 
-def _pairs_preview(pairs: Sequence[Sequence[int]], limit: int = 8) -> str:
-    shown = " ".join(f"({a}, {b})" for a, b in pairs[:limit])
+def _pairs_preview(pairs: TwinPairs, limit: int = 8) -> str:
+    shown = " ".join(f"({p}, {p + 2})" for p in pairs.lower[:limit].tolist())
     extra = len(pairs) - limit
     return shown + (f" ... +{extra} more" if extra > 0 else "") if pairs else "none"
 

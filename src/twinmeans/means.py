@@ -1,8 +1,8 @@
 """Ratio sets over prime intervals and numerically stable power means.
 
 A ratio set is its interval primes as an int64 array plus the successor
-prime, and the sequence of its elements; an element is an exact Fraction,
-made only on demand; reduce_interval takes an interval one block of primes
+prime, read through arrays made from them; an exact Fraction is made only
+for its sup and inf.  reduce_interval takes an interval one block of primes
 at a time, so that a report's memory does not grow with the interval.
 Every decision between ratios is exact: a float may narrow the candidates,
 but Fraction's Python-int cross-multiplication settles them.  The float
@@ -14,7 +14,7 @@ analytic.IntervalProduct.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -36,13 +36,12 @@ class MeanLimit(Enum):
 
 
 @dataclass(eq=False)
-class RatioSet(Sequence[Fraction]):
+class RatioSet:
     """Ratio set of a prime interval (x, y]: one p_n/(p_{n+1}-2) per prime.
 
     Held as the interval primes (int64, increasing, all above 2) plus p_e,
-    the first prime past y.  The set is the sequence of its elements:
-    element n is the Fraction p_n/(p_{n+1}-2), made on access, so the
-    sequence costs nothing per prime.  The excess k_n = p_{n+1} - 2 - p_n
+    the first prime past y, and read through its arrays and its exact
+    extremes, not element by element.  The excess k_n = p_{n+1} - 2 - p_n
     >= 0 orders the elements: p_n/(p_n + k_n) = 1/(1 + k_n/p_n), so a
     smaller k/p is a larger element and k_n == 0 is exactly 1, a twin pair
     (p_n, p_n + 2).  Otherwise 0 < k_n < p_n (Bertrand), so the element is
@@ -71,15 +70,6 @@ class RatioSet(Sequence[Fraction]):
 
     def __len__(self) -> int:
         return int(self.primes.size)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        p = int(self.primes[i])   # numpy indexing: negative indices, IndexError past the end
-        return Fraction(p, p + int(self.k[i]))
-
-    def __iter__(self) -> Iterator[Fraction]:
-        return map(Fraction, self.primes.tolist(), (self.primes + self.k).tolist())
 
     @property
     def elements(self) -> "RatioSet":
@@ -137,15 +127,14 @@ def build_ratio_set(ip: IntervalPrimes) -> RatioSet:
 class IntervalReduction:
     """What one streamed pass keeps of the ratio set of an interval (x, y].
 
-    count is the number of interval primes, p_s the first and P the last of
-    them, and p_e the prime past y.  sup, the exact sup of the set, and
-    twin_lower, the int64 array of the lower primes p of the twin pairs
-    (p, p+2) with x < p <= y, are None unless the pass was asked for them.
+    count is the number of interval primes, P the last of them, and p_e
+    the prime past y.  sup, the exact sup of the set, and twin_lower, the
+    int64 array of the lower primes p of the twin pairs (p, p+2) with
+    x < p <= y, are None unless the pass was asked for them.
     log_t(method) is log T by a product route the pass summed.
     """
 
     count: int
-    p_s: int
     P: int
     p_e: int
     sup: Optional[Fraction]
@@ -171,10 +160,8 @@ def reduce_interval(
     the block and its set are dropped before the next block is asked for.
     Each adds its count, the log T terms of `methods` and, when asked, its
     exact sup and twin lower primes; the overall sup is max() of the block
-    sups, an exact Fraction whose numerator names the element that attains
-    it when it is below 1.  Every value equals that of the whole set
-    (interval_primes).  An interval without primes, one empty block,
-    raises EmptySetError.
+    sups.  Every value equals that of the whole set (interval_primes).  An
+    interval without primes, one empty block, raises EmptySetError.
     """
     x, y = int(x), int(y)
     count, sups, lower = 0, [], np.empty(0, dtype=np.int64)
@@ -197,7 +184,6 @@ def reduce_interval(
         raise EmptySetError(f"no primes in ({x}, {y}]")
     return IntervalReduction(
         count=count,
-        p_s=product.p_s,
         P=P,
         p_e=p_next,
         sup=max(sups) if sup else None,
@@ -207,20 +193,20 @@ def reduce_interval(
 
 
 def max_element(rs: RatioSet) -> Fraction:
-    """The exact sup of a ratio set, rs.sup: the means' call for it, which
-    perfbench times as means.sup_s."""
+    """The exact sup of a ratio set, rs.sup: mean_limit's call for the
+    alpha -> +inf limit, which perfbench times as means.sup_s."""
     return rs.sup
 
 
 def min_element(rs: RatioSet) -> Fraction:
-    """The exact inf of a ratio set, rs.inf: the means' call for it, which
-    perfbench times as means.sup_s."""
+    """The exact inf of a ratio set, rs.inf: mean_limit's call for the
+    alpha -> -inf limit, which perfbench times as means.sup_s."""
     return rs.inf
 
 
-# The inputs of power_mean and mean_limit: a ratio set, or plain floats.
-# A list of the set's Fractions is taken through float(), each correctly
-# rounded, so its power means and +-inf limits are the set's, bit for bit.
+# The inputs of power_mean and mean_limit: a ratio set, or plain floats.  A
+# set's values are its exact elements correctly rounded, a monotone map, so
+# its power means and +-inf limits are those of its values, bit for bit.
 Values = Union[RatioSet, Sequence[float]]
 
 
@@ -254,22 +240,15 @@ def power_mean(values: Values, alpha: float) -> MeanValue:
     with m the max (alpha > 0) or min (alpha < 0), so every scaled term lies
     in (0, 1] and no intermediate can overflow.  The scaled-term sum is
     correctly rounded, which keeps the result within a few ulps of exact.  A
-    RatioSet is reduced over its cached values, not its elements, with m its
-    cached exact sup or inf; the scaled terms are made in blocks of at
-    most sieve._BLOCK.  Use mean_limit for alpha -> 0 and +-inf.
+    RatioSet is reduced over its cached values, as plain floats are; the
+    scaled terms are made in blocks of at most sieve._BLOCK.  Use
+    mean_limit for alpha -> 0 and +-inf.
     """
     alpha = float(alpha)
     if not math.isfinite(alpha) or alpha == 0.0:
         raise ValueError("alpha must be finite and nonzero; use mean_limit for limits")
-    top = alpha > 0
-    if isinstance(values, RatioSet):
-        # a ratio value is one correctly rounded division and m is the value
-        # of the exact extreme element; rounding is monotone, so every v/m
-        # lies on the same side of 1 as the exact ratio does
-        vals, m = values.values, float((max_element if top else min_element)(values))
-    else:
-        vals = _checked_floats(values, "power mean")
-        m = float(vals.max() if top else vals.min())
+    vals = values.values if isinstance(values, RatioSet) else _checked_floats(values, "power mean")
+    m = float(vals.max() if alpha > 0 else vals.min())
     n = int(vals.size)
 
     def scaled(s: slice, out: np.ndarray) -> np.ndarray:

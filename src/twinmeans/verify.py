@@ -39,12 +39,12 @@ class BetaSpec:
     y: int
 
 
-class TwinPairs(Sequence[tuple[int, int]]):
-    """Lazy (p, p+2) view of twin lower primes held as an int64 array.
+class TwinPairs:
+    """The twin pairs (p, p+2) of a report, held as their int64 lower primes.
 
-    A pair is made on access, so a report keeps 8 bytes per pair, not a
-    tuple.  It has len, indexing, slicing (a view again) and iteration, and
-    equals another view or a list of tuples that holds the same pairs.
+    A report keeps 8 bytes per pair, not a tuple.  It has len and
+    iteration, which makes each pair as it goes, and equals another
+    TwinPairs or a list of tuples that holds the same pairs.
     """
 
     __slots__ = ("lower",)
@@ -55,12 +55,6 @@ class TwinPairs(Sequence[tuple[int, int]]):
     def __len__(self) -> int:
         return int(self.lower.size)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return TwinPairs(self.lower[i])
-        p = int(self.lower[i])   # numpy indexing: negative indices, IndexError past the end
-        return (p, p + 2)
-
     def __iter__(self) -> Iterator[tuple[int, int]]:
         return ((p, p + 2) for p in self.lower.tolist())
 
@@ -70,8 +64,6 @@ class TwinPairs(Sequence[tuple[int, int]]):
         if isinstance(other, list):
             return list(self) == other
         return NotImplemented
-
-    __hash__ = None
 
     def __repr__(self) -> str:
         return f"TwinPairs({list(self)!r})"
@@ -91,8 +83,8 @@ class Theorem1Row:
     pi_approx = x^beta/(beta*log x) and the x^beta-normalised residual
     recomputed with it, which also decays.  logz_crosscheck compares
     log m0 against (2*log beta - (beta-1)*log x)/pi; it is reported, never
-    asserted.  twin_pairs is a TwinPairs view over the twin lower primes, so
-    the row keeps 8 bytes per pair and pickles as that array.
+    asserted.  twin_pairs holds the twin lower primes as an array, so the
+    row keeps 8 bytes per pair and pickles as that array.
     """
 
     interval: BetaSpec
@@ -111,7 +103,7 @@ class Theorem1Row:
 @dataclass(frozen=True)
 class CriterionReport:
     """Exact-threshold twin decision for (x, y] next to the brute-force scan
-    (sieve.twin_pairs_in), whose int64 lower primes a TwinPairs view wraps."""
+    (sieve.twin_pairs_in), whose int64 lower primes a TwinPairs holds."""
 
     x: int
     y: int

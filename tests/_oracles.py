@@ -1,12 +1,14 @@
 """Slow-but-obviously-correct reference implementations used by the tests.
 
-Everything here but sieved_upto is deliberately independent of the
-package internals: trial division instead of a sieve, Fraction arithmetic
-instead of floats.  Keep it dumb; speed does not matter at oracle sizes.
+Everything here but set_elements and sieved_upto is deliberately
+independent of the package internals: trial division instead of a sieve,
+Fraction arithmetic instead of floats.  Keep it dumb; speed does not matter
+at oracle sizes.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 from fractions import Fraction
 
@@ -77,6 +79,16 @@ def t_product_exact(x: int, y: int) -> Fraction:
     return out
 
 
+def log_t_exact(x: int, y: int) -> decimal.Decimal:
+    """log T, T the exact product of the ratio elements of (x, y]: one
+    division of its numerator by its denominator and a ln, both to 60
+    digits, so a float's error can be read in fractions of an ulp."""
+    t = t_product_exact(x, y)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        return (decimal.Decimal(t.numerator) / decimal.Decimal(t.denominator)).ln()
+
+
 def mertens_sum_exact(x: int) -> Fraction:
     return sum((Fraction(1, p) for p in primes_upto(x)), Fraction(0))
 
@@ -107,6 +119,13 @@ def power_mean_exact(ratios: list[Fraction], alpha: int) -> float:
     m = max(ratios) if alpha > 0 else min(ratios)
     s = math.fsum(float((r / m) ** alpha) for r in ratios) / len(ratios)
     return float(m) * s ** (1.0 / alpha)
+
+
+def set_elements(rs) -> list[Fraction]:
+    """The exact elements Fraction(p, p + k) of a ratio set, rebuilt from
+    its arrays (primes and the package's excesses k).  A set has no element
+    reader of its own; comparing this with ratio_elements checks its k."""
+    return list(map(Fraction, rs.primes.tolist(), (rs.primes + rs.k).tolist()))
 
 
 def sieved_upto(n: int) -> np.ndarray:

@@ -10,6 +10,7 @@ import inspect
 import math
 import random
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -252,6 +253,20 @@ def test_t_product_routes_agree_and_match_exact_oracle():
         assert d == pytest.approx(ref, rel=1e-12)
         assert t == pytest.approx(ref, rel=1e-12)
         assert d == pytest.approx(t, rel=1e-12)
+
+
+@pytest.mark.parametrize("x,c", [(10**4, 1), (10**6, 1)])
+def test_direct_log_t_within_its_error_budget(x, c):
+    # the budget of the IntervalProduct docstring, 3u|log T| + ulp/2 (2.55
+    # and 3.47 ulp here), against a 60-digit log T; both points also meet
+    # the 2 ulp of ROADMAP item 10 (measured +0.34 and -0.37 ulp)
+    y = verify.beta_for(x, c).y
+    exact = oracle.log_t_exact(x, y)
+    ulp = Decimal(math.ulp(float(exact)))
+    got = analytic.log_t_product(sieve.interval_primes(x, y), ProductMethod.DIRECT)
+    err = abs(Decimal(got) - exact) / ulp
+    assert err <= 3 * Decimal(2) ** -53 * abs(exact) / ulp + Decimal("0.5")
+    assert err <= 2
 
 
 def test_log_t_product_is_log_of_t_product():

@@ -12,6 +12,9 @@ from twinmeans.means import MeanLimit
 
 import _oracles as oracle
 
+# the alpha grid of perfbench's ratio_means session
+SESSION_ALPHAS = [-800.0, -100.0, -10.0, -1.0, 1.0, 10.0, 100.0, 800.0]
+
 
 # ---------------------------------------------------------------------------
 # ratio elements: exact Fractions
@@ -24,11 +27,12 @@ def pairs(rs):
 
 def test_ratio_element_value_and_fraction():
     rs = means.build_ratio_set(sieve.interval_primes(10, 20))
-    e = rs[1]
-    assert float(e) == 13 / 15
+    elements = oracle.set_elements(rs)
+    e = elements[1]
+    assert float(e) == 13 / 15 == rs.values[1]
     assert e == Fraction(13, 15)
     assert e != 1
-    assert rs[2] == 1          # 17/17
+    assert elements[2] == 1    # 17/17
 
 
 def oracle_sweep():
@@ -49,7 +53,7 @@ def test_ratio_element_invariants_enforced():
     for x, y, rs in oracle_sweep():
         ps = oracle.primes_between(x, y)
         seq = ps + [oracle.next_prime(ps[-1])]
-        for e, p, q in zip(rs, seq, seq[1:]):
+        for e, p, q in zip(oracle.set_elements(rs), seq, seq[1:]):
             assert 0 < e <= 1
             if q == p + 2:
                 assert e == 1
@@ -104,7 +108,7 @@ def test_ratio_set_10_20():
         (17, 17),
         (19, 21),
     ]
-    assert list(rs) == [1, Fraction(13, 15), 1, Fraction(19, 21)]
+    assert oracle.set_elements(rs) == [1, Fraction(13, 15), 1, Fraction(19, 21)]
     assert (rs.x, rs.y) == (10, 20)
 
 
@@ -112,13 +116,13 @@ def test_ratio_set_uses_successor_prime_beyond_y():
     # single prime 97 in (89, 97]; its successor 101 lies outside
     rs = means.build_ratio_set(sieve.interval_primes(89, 97))
     assert pairs(rs) == [(97, 99)]
-    assert list(rs) == [Fraction(97, 99)]
+    assert oracle.set_elements(rs) == [Fraction(97, 99)]
 
 
 def test_ratio_set_2_3():
     rs = means.build_ratio_set(sieve.interval_primes(2, 3))
     assert pairs(rs) == [(3, 3)]
-    assert list(rs) == [1]
+    assert oracle.set_elements(rs) == [1]
 
 
 def test_ratio_set_rejects_prime_two():
@@ -134,7 +138,7 @@ def test_ratio_set_empty_interval():
 
 def test_ratio_set_matches_oracle_sweep():
     for x, y, rs in oracle_sweep():
-        assert list(rs) == oracle.ratio_elements(x, y)
+        assert oracle.set_elements(rs) == oracle.ratio_elements(x, y)
 
 
 def test_max_min_element():
@@ -212,18 +216,22 @@ def test_power_mean_matches_textbook_formula():
 def test_power_mean_ratio_matches_exact_fraction():
     rs = means.build_ratio_set(sieve.interval_primes(10, 20))
     for alpha in (-3, -1, 1, 2, 5):
-        exact = sum(e ** alpha for e in rs) / Fraction(4)
+        exact = sum(e ** alpha for e in oracle.set_elements(rs)) / Fraction(4)
         got = means.power_mean(rs, float(alpha)).value
         assert got == pytest.approx(float(exact) ** (1.0 / alpha), rel=1e-14)
 
 
 def test_power_mean_ratio_agrees_with_float_path():
+    # one path: a set's values are the correctly rounded floats of its
+    # elements, so its power means and +-inf limits are theirs, bit for bit
     rs = means.build_ratio_set(sieve.interval_primes(100, 200))
-    vals = [float(e) for e in rs]
-    for alpha in (-8.0, -1.0, 0.5, 2.0, 8.0):
+    vals = [float(e) for e in oracle.set_elements(rs)]
+    for alpha in (-8.0, -1.0, 0.5, 2.0, 8.0, *SESSION_ALPHAS):
         a = means.power_mean(rs, alpha).value
         b = means.power_mean(vals, alpha).value
-        assert a == pytest.approx(b, rel=1e-13)
+        assert a == b
+    assert means.mean_limit(rs, MeanLimit.PLUS_INF).value == max(vals)
+    assert means.mean_limit(rs, MeanLimit.MINUS_INF).value == min(vals)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +249,7 @@ def test_mean_limit_extremes_are_exact():
 def test_mean_limit_zero_matches_exact_product():
     rs = means.build_ratio_set(sieve.interval_primes(10, 20))
     exact = Fraction(1)
-    for e in rs:
+    for e in oracle.set_elements(rs):
         exact *= e
     got = means.mean_limit(rs, MeanLimit.ZERO)
     assert got.value == pytest.approx(float(exact) ** 0.25, rel=1e-15)
