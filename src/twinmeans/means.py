@@ -159,9 +159,10 @@ def reduce_interval(
     element reaching into the next block, so every temporary is block-sized;
     the block and its set are dropped before the next block is asked for.
     Each adds its count, the log T terms of `methods` and, when asked, its
-    exact sup and twin lower primes; the overall sup is max() of the block
-    sups.  Every value equals that of the whole set (interval_primes).  An
-    interval without primes, one empty block, raises EmptySetError.
+    exact sup and twin lower primes (sieve._twin_scan, which reads no k);
+    the overall sup is max() of the block sups.  Every value equals that of
+    the whole set (interval_primes).  An interval without primes, one empty
+    block, raises EmptySetError.
     """
     x, y = int(x), int(y)
     count, sups, lower = 0, [], np.empty(0, dtype=np.int64)
@@ -175,7 +176,7 @@ def reduce_interval(
         if sup:
             sups.append(rs.sup)
         if twins:   # grown in place (realloc), so the pairs are never held twice
-            t, n = primes[rs.k == 0], lower.size
+            t, n = sieve._twin_scan(primes, p_next), lower.size
             lower.resize(n + t.size, refcheck=False)
             lower[n:] = t
         P = int(primes[-1])

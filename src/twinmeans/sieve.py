@@ -533,29 +533,23 @@ def max_gap_up_to(limit: int, *, cache: Optional[PrimeFile] = None) -> GapRecord
     return GapRecord(limit=limit, gap=best_gap, lower_prime=best_lower)
 
 
+def _twin_scan(primes: np.ndarray, p_next: int) -> np.ndarray:
+    """The primes p of one interval_windows block whose successor (the
+    next prime of the block, or p_next after the last) is p + 2: the lower
+    primes of the block's twin pairs, by a comparison of neighbours."""
+    return primes[primes + 2 == np.append(primes[1:], p_next)]
+
+
 def twin_pairs_in(x: int, y: int) -> np.ndarray:
     """The lower primes p of the twin pairs (p, p+2) with x < p <= y, as an
-    increasing int64 array.
-
-    A brute-force scan: each prime p is looked up with p + 2 among the
-    primes of (x, y + 2], window by window, with the last prime of a window
-    carried into the next.  The array grows in place (realloc), so the
-    pairs are never held twice.  The cap applies to y; the look-ahead to
-    y + 2 for a co-twin may pass it.
-    """
-    x, y = _interval(x, y)
+    increasing int64 array: _twin_scan over the blocks of one pass, grown
+    in place (realloc), so the pairs are never held twice."""
     lower = np.empty(0, dtype=np.int64)
-    carry = np.empty(0, dtype=np.int64)
-    for seg in iter_prime_segments(x, y + 2, max_limit=y + 2):
-        arr = np.concatenate((carry, seg))
-        # the last prime waits for the next window, where p + 2 would be
-        head = arr[:-1]
-        idx = np.minimum(np.searchsorted(arr, head + 2), arr.size - 1)
-        t, n = head[arr[idx] == head + 2], lower.size   # arr <= y + 2, so head <= y
+    for primes, p_next in interval_windows(x, y):
+        t, n = _twin_scan(primes, p_next), lower.size
         lower.resize(n + t.size, refcheck=False)
         lower[n:] = t
-        carry = arr[-1:].copy()    # a view would keep arr
-        del seg, arr, head, idx, t
+        del primes, t       # freed before the next block is sieved
     return lower
 
 

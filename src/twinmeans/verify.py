@@ -3,8 +3,8 @@
 The criterion is decided in exact rationals: the sup of a ratio set (exact,
 see means.RatioSet) and the threshold P/(P+2) are compared as Fractions, and
 the resulting decision is required to match a brute-force twin scan of the
-same interval.  An interval report (theorem1_report, lemma2_report) sieves
-its interval (x, x^beta] once and reduces it block by block
+same interval.  Each report (theorem1_report, lemma2_report, twin_criterion)
+sieves its interval once and reduces it block by block
 (means.reduce_interval): count, sup, products and twin lower primes come
 from one pass whose temporaries are block-sized, so its memory grows with
 the interval only by the twin pairs, 8 bytes each.
@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import means, sieve
+from . import means
 from .analytic import AsymptoticCheck, ProductMethod
 
 # accepted window for the interval-exponent parameter c, and the smallest x
@@ -103,7 +103,8 @@ class Theorem1Row:
 @dataclass(frozen=True)
 class CriterionReport:
     """Exact-threshold twin decision for (x, y] next to the brute-force scan
-    (sieve.twin_pairs_in), whose int64 lower primes a TwinPairs holds."""
+    (sieve._twin_scan) of the same pass, whose int64 lower primes a
+    TwinPairs holds."""
 
     x: int
     y: int
@@ -194,9 +195,9 @@ def twin_criterion(x: int, y: int) -> CriterionReport:
     """Decide twin existence in (x, y] from the exact ratio-set sup.
 
     The decision sup > P/(P+2) (strict) must agree with the brute-force
-    scan; the two are computed independently and both reported.
+    scan; the two are computed independently in one pass and both reported.
     """
-    iv = means.reduce_interval(x, y, sup=True)
+    iv = means.reduce_interval(x, y, sup=True, twins=True)
     threshold = Fraction(iv.P, iv.P + 2)
     return CriterionReport(
         x=int(x),
@@ -205,7 +206,7 @@ def twin_criterion(x: int, y: int) -> CriterionReport:
         threshold=threshold,
         m_inf=iv.sup,
         decision=iv.sup > threshold,
-        brute_force_twins=TwinPairs(sieve.twin_pairs_in(x, y)),
+        brute_force_twins=TwinPairs(iv.twin_lower),
     )
 
 

@@ -1,13 +1,15 @@
-"""One sieve pass per interval report and per prime-sum command, and scan
-rows that survive a crashed worker or a pool broken at submit.
+"""One sieve pass per interval report, twin criterion included, and per
+prime-sum command, and scan rows that survive a crashed worker or a pool
+broken at submit.
 
 The sieve-work tests count the calls of sieve._marked_windows, the
 generator of marked windows (the `sieved` fixture, conftest.py): every
 reader of the sieve in the package (iter_prime_segments and through it
-interval_windows, twin_pairs_in and prime_stream, and the counting
-prime_summary) goes through it.  A report over (x, y] sieves (x, y + w]
-in one call, w the look-ahead that holds the successor prime of y.  A
-prime-sum command sieves (1, max(x, cutoff)] once.
+interval_windows and prime_stream, and the counting prime_summary) goes
+through it.  A report over (x, y] sieves (x, y + w] in one call, w the
+look-ahead that holds the successor prime of y; twin_criterion's
+brute-force twin scan reads the blocks of that same pass.  A prime-sum
+command sieves (1, max(x, cutoff)] once.
 """
 
 import math
@@ -83,13 +85,13 @@ def test_theorem1_twin_pairs_match_twin_scan_sweep():
     assert checked > 100
 
 
-def test_twin_criterion_sieves_twice(sieved):
-    """One pass over the window and its look-ahead, and the brute-force
-    scan over (x, y + 2], which keeps its own sieve as a cross-check."""
+def test_twin_criterion_sieves_once(sieved):
+    """One pass over the window and its look-ahead gives both the exact
+    decision and the brute-force scan."""
     x, y = 999_999_000, 999_999_600
     rep = verify.twin_criterion(x, y)
     assert rep.decision == bool(rep.brute_force_twins)
-    assert sieved == [(x, y + probe_window(y)), (x, y + 2)]
+    assert_one_pass(sieved, x, y)
 
 
 @pytest.mark.parametrize(
@@ -142,9 +144,8 @@ def test_twin_criterion_at_the_cap(sieved):
 
 
 def test_short_windows_build_the_base_primes_once(monkeypatch):
-    """The window with its look-ahead and the brute-force scan of each
-    twin_criterion call share one kept base table: 200 windows near 1e9
-    build it once, where a build per sieve call would make 400."""
+    """The twin_criterion calls share one kept base table: 200 windows
+    near 1e9 build it once, where a build per sieve call would make 200."""
     monkeypatch.setattr(sieve, "_base", (0,) + (np.empty(0, dtype=np.int64),) * 2)
     builds = []
     real = sieve._dense_primes

@@ -162,8 +162,10 @@ def held_at_marking(monkeypatch):
         lambda: means.reduce_interval(10**5, 3 * 10**5, tuple(ProductMethod), sup=True, twins=True),
         lambda: verify.theorem1_report(3 * 10**5, 4.0),
         lambda: verify.lemma2_report(3 * 10**5, 4.0),
+        lambda: sieve.twin_pairs_in(10**5, 3 * 10**5),
+        lambda: verify.twin_criterion(10**5, 3 * 10**5),
     ],
-    ids=["reduce_interval", "theorem1_report", "lemma2_report"],
+    ids=["reduce_interval", "theorem1_report", "lemma2_report", "twin_pairs_in", "twin_criterion"],
 )
 def test_interval_consumers_drop_each_block(held_at_marking, run):
     alive = held_at_marking("interval_windows")
@@ -177,10 +179,9 @@ def test_interval_consumers_drop_each_block(held_at_marking, run):
         lambda tmp: analytic.mertens_report(2 * 10**5, 2 * 10**5),
         lambda tmp: analytic.lemma1_report(2 * 10**5, 2 * 10**5),
         lambda tmp: sieve.max_gap_up_to(2 * 10**5),
-        lambda tmp: sieve.twin_pairs_in(10**5, 3 * 10**5),
         lambda tmp: sieve.save_cache(2 * 10**5, str(tmp / "p.tpc")),
     ],
-    ids=["mertens_report", "lemma1_report", "max_gap_up_to", "twin_pairs_in", "save_cache"],
+    ids=["mertens_report", "lemma1_report", "max_gap_up_to", "save_cache"],
 )
 def test_stream_consumers_drop_each_array(held_at_marking, tmp_path, run):
     alive = held_at_marking("iter_prime_segments")

@@ -18,7 +18,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from twinmeans import sieve, verify
+from twinmeans import means, sieve, verify
 from twinmeans.errors import EmptySetError
 from twinmeans.verify import C_RANGE, beta_for, theorem1_report, theorem1_scan, twin_criterion
 
@@ -193,6 +193,24 @@ def test_criterion_2_3():
 def test_criterion_empty_interval():
     with pytest.raises(EmptySetError):
         twin_criterion(24, 28)
+
+
+def test_criterion_twin_scan_reads_no_excess(monkeypatch):
+    """The exact decision reads the excesses k = p_{n+1} - 2 - p_n and the
+    brute-force scan does not: excesses that hide the one twin of (10, 16]
+    flip the decision but leave the scan's (11, 13)."""
+    real = means._excesses
+
+    def hiding(primes, p_e, out):
+        k = real(primes, p_e, out)
+        k[k == 0] = 2       # as if the next prime were p + 4
+        return k
+
+    monkeypatch.setattr(means, "_excesses", hiding)
+    rep = twin_criterion(10, 16)
+    assert rep.m_inf == rep.threshold == Fraction(13, 15)
+    assert rep.decision is False
+    assert rep.brute_force_twins == [(11, 13)]
 
 
 def test_criterion_decision_equals_brute_force_sweep():
