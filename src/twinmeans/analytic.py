@@ -333,6 +333,17 @@ def lemma1_report(
     ), consts
 
 
+def _ratio_primes(x: int, y: int, primes: np.ndarray) -> np.ndarray:
+    """The primes of (x, y], returned if they make a ratio set: the one
+    gate of means.RatioSet and log_t_product.  An empty interval has no
+    ratio, and the prime 2 has none of the form p/(p + k), k >= 0."""
+    if not primes.size:
+        raise EmptySetError(f"no primes in ({x}, {y}]")
+    if int(primes[0]) <= 2:
+        raise ValueError("ratio sets need interval primes above 2 (x >= 2)")
+    return primes
+
+
 def _excesses(primes: np.ndarray, p_e: int, out: np.ndarray) -> np.ndarray:
     """The excesses k_n = p_{n+1} - 2 - p_n of the first out.size primes,
     written into the int64 array out and returned; p_e is the prime after
@@ -397,13 +408,10 @@ def log_t_product(
     rearrangement T = ((p_s-2)/(p_e-2)) * prod_{x<p<=y} p/(p-2).  Both sum
     their own terms exactly and agree to near machine precision; the dual
     route is kept deliberately as a cross-check, do not collapse one into
-    the other.  This is IntervalProduct fed the interval in blocks (_log_t).
+    the other.  This is IntervalProduct fed the interval in blocks (_log_t),
+    past the gate of a ratio set (_ratio_primes).
     """
-    if ip.primes.size == 0:
-        raise EmptySetError(f"no primes in ({ip.x}, {ip.y}]")
-    if int(ip.primes[0]) <= 2:
-        raise ValueError("ratio products need interval primes above 2")
-    return _log_t(ip.primes, ip.p_e, method)
+    return _log_t(_ratio_primes(ip.x, ip.y, ip.primes), ip.p_e, method)
 
 
 def _log_t(primes: np.ndarray, p_e: int, method: ProductMethod) -> float:

@@ -24,7 +24,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import sieve
-from .analytic import ExactSum, IntervalProduct, ProductMethod, _excesses, _log_t
+from .analytic import ExactSum, IntervalProduct, ProductMethod, _excesses, _log_t, _ratio_primes
 from .errors import EmptySetError
 from .sieve import IntervalPrimes
 
@@ -36,37 +36,28 @@ class MeanLimit(Enum):
 
 
 @dataclass(eq=False)
-class RatioSet:
+class RatioSet(IntervalPrimes):
     """Ratio set of a prime interval (x, y]: one p_n/(p_{n+1}-2) per prime.
 
-    Held as the interval primes (int64, increasing, all above 2) plus p_e,
-    the first prime past y, and read through its arrays and its exact
-    extremes, not element by element.  The excess k_n = p_{n+1} - 2 - p_n
-    >= 0 orders the elements: p_n/(p_n + k_n) = 1/(1 + k_n/p_n), so a
-    smaller k/p is a larger element and k_n == 0 is exactly 1, a twin pair
-    (p_n, p_n + 2).  Otherwise 0 < k_n < p_n (Bertrand), so the element is
-    in lowest terms with numerator p_n: a sup or inf below 1 names, by its
-    numerator, the element that attains it.  k and values are built once,
-    on first use, each straight into its own array.  The exact sup and inf
-    are found once per set, on first use, one block of at most sieve._BLOCK
-    elements at a time: a float k/p (a correctly rounded, hence monotone,
-    quotient) narrows the candidates and max() or min() of the Fractions
-    of every block's candidates settles them.  No product of two primes is
-    formed in int64; near the 1e10 cap it would pass 2^63.
+    It is the IntervalPrimes record itself, its primes past the gate of
+    analytic._ratio_primes (nonempty, all above 2), and it is read through
+    its arrays and its exact extremes, not element by element.  The excess
+    k_n = p_{n+1} - 2 - p_n >= 0 orders the elements: p_n/(p_n + k_n) =
+    1/(1 + k_n/p_n), so a smaller k/p is a larger element and k_n == 0 is
+    exactly 1, a twin pair (p_n, p_n + 2).  Otherwise 0 < k_n < p_n
+    (Bertrand), so the element is in lowest terms with numerator p_n: a sup
+    or inf below 1 names, by its numerator, the element that attains it.  k
+    and values are built once, on first use, each straight into its own
+    array.  The exact sup and inf are found once per set, on first use, one
+    block of at most sieve._BLOCK elements at a time: a float k/p (a
+    correctly rounded, hence monotone, quotient) narrows the candidates and
+    max() or min() of the Fractions of every block's candidates settles
+    them.  No product of two primes is formed in int64; near the 1e10 cap
+    it would pass 2^63.
     """
 
-    x: int
-    y: int
-    primes: np.ndarray
-    p_e: int
-
     def __post_init__(self):
-        if self.primes.size == 0:
-            raise EmptySetError(
-                f"no primes in ({self.x}, {self.y}]; ratio set undefined"
-            )
-        if int(self.primes[0]) <= 2:
-            raise ValueError("ratio sets need interval primes above 2 (x >= 2)")
+        _ratio_primes(self.x, self.y, self.primes)
 
     def __len__(self) -> int:
         return int(self.primes.size)
@@ -130,7 +121,8 @@ class IntervalReduction:
     count is the number of interval primes, P the last of them, and p_e
     the prime past y.  sup, the exact sup of the set, and twin_lower, the
     int64 array of the lower primes p of the twin pairs (p, p+2) with
-    x < p <= y, are None unless the pass was asked for them.
+    x < p <= y, are kept together by a criterion pass and are both None
+    otherwise.
     log_t(method) is log T by a product route the pass summed.
     """
 
@@ -150,45 +142,41 @@ def reduce_interval(
     y: int,
     methods: tuple[ProductMethod, ...] = (),
     *,
-    sup: bool = False,
-    twins: bool = False,
+    criterion: bool = False,
 ) -> IntervalReduction:
     """The ratio set of (x, y] reduced one block at a time.
 
     Each block of sieve.interval_windows is a RatioSet of its own, its last
     element reaching into the next block, so every temporary is block-sized;
     the block and its set are dropped before the next block is asked for.
-    Each adds its count, the log T terms of `methods` and, when asked, its
-    exact sup and twin lower primes (sieve._twin_scan, which reads no k);
-    the overall sup is max() of the block sups.  Every value equals that of
-    the whole set (interval_primes).  An interval without primes, one empty
-    block, raises EmptySetError.
+    Each adds its count and the log T terms of `methods`.  A criterion pass
+    also takes each block's exact sup and, beside it, its twin lower primes
+    by the brute-force scan (sieve._twin_scan, which reads no k), so no
+    pass has the one without the other; the overall sup is max() of the
+    block sups.  Every value equals that of the whole set
+    (interval_primes).  An interval without primes is one empty block,
+    which its RatioSet refuses with EmptySetError.
     """
     x, y = int(x), int(y)
     count, sups, lower = 0, [], np.empty(0, dtype=np.int64)
     product = IntervalProduct(methods)
     for primes, p_next in sieve.interval_windows(x, y):
-        if not primes.size:     # the one block of an interval without primes
-            break
         rs = RatioSet(x=x, y=y, primes=primes, p_e=p_next)
         count += int(primes.size)
         product.add(primes, rs.k)
-        if sup:
+        if criterion:   # the scan grown in place (realloc), so the pairs are never held twice
             sups.append(rs.sup)
-        if twins:   # grown in place (realloc), so the pairs are never held twice
             t, n = sieve._twin_scan(primes, p_next), lower.size
             lower.resize(n + t.size, refcheck=False)
             lower[n:] = t
         P = int(primes[-1])
         del primes, rs      # freed before the next block is sieved
-    if not count:
-        raise EmptySetError(f"no primes in ({x}, {y}]")
     return IntervalReduction(
         count=count,
         P=P,
         p_e=p_next,
-        sup=max(sups) if sup else None,
-        twin_lower=lower if twins else None,
+        sup=max(sups) if criterion else None,
+        twin_lower=lower if criterion else None,
         product=product,
     )
 

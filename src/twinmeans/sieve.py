@@ -136,18 +136,13 @@ def _read_blocks(fh, n: int) -> Iterator[np.ndarray]:
 
 @dataclass(eq=False)
 class IntervalPrimes:
-    """Primes in the half-open interval (x, y], plus the boundary primes.
-
-    p_s is the first prime > x (equals primes[0] when the interval is
-    nonempty, else the first prime past y).  P is the largest prime <= y,
-    None when the interval holds no prime.  p_e is the first prime > y.
-    """
+    """The primes of the half-open interval (x, y], an increasing int64
+    array, and p_e, the first prime > y.  The paper's p_s and P, the first
+    and last prime of the interval, are primes[0] and primes[-1]."""
 
     x: int
     y: int
     primes: np.ndarray
-    p_s: int
-    P: Optional[int]
     p_e: int
 
 
@@ -488,25 +483,17 @@ def interval_windows(x: int, y: int) -> Iterator[tuple[np.ndarray, int]]:
 
 
 def interval_primes(x: int, y: int) -> IntervalPrimes:
-    """Primes in (x, y] together with the boundary primes p_s, P, p_e.
+    """Primes in (x, y] together with p_e, the prime past y.
 
     Mind the memory: the result holds every prime of the interval, built
     from the blocks plus their concatenated copy; a one-pass reduction can
     stream interval_windows instead (means.reduce_interval).  An interval
-    without primes is its one empty block: p_e, which is then also p_s,
-    comes from the same pass.
+    without primes is its one empty block, whose p_e comes from the same
+    pass.
     """
     windows = list(interval_windows(x, y))
     primes = np.concatenate([w for w, _ in windows])
-    p_e = windows[-1][1]
-    return IntervalPrimes(
-        x=int(x),
-        y=int(y),
-        primes=primes,
-        p_s=int(primes[0]) if primes.size else p_e,
-        P=int(primes[-1]) if primes.size else None,
-        p_e=p_e,
-    )
+    return IntervalPrimes(x=int(x), y=int(y), primes=primes, p_e=windows[-1][1])
 
 
 def max_gap_up_to(limit: int, *, cache: Optional[PrimeFile] = None) -> GapRecord:

@@ -5,9 +5,10 @@ see means.RatioSet) and the threshold P/(P+2) are compared as Fractions, and
 the resulting decision is required to match a brute-force twin scan of the
 same interval.  Each report (theorem1_report, lemma2_report, twin_criterion)
 sieves its interval once and reduces it block by block
-(means.reduce_interval): count, sup, products and twin lower primes come
-from one pass whose temporaries are block-sized, so its memory grows with
-the interval only by the twin pairs, 8 bytes each.
+(means.reduce_interval), in one pass whose temporaries are block-sized.
+theorem1_report and twin_criterion make it a criterion pass, which takes
+the sup and the twin lower primes together, so its memory grows with the
+interval only by the twin pairs, 8 bytes each; lemma2_report takes neither.
 """
 
 from __future__ import annotations
@@ -148,7 +149,7 @@ def beta_for(x: int, c: float) -> BetaSpec:
 def theorem1_report(x: int, c: float) -> Theorem1Row:
     """Means, bounds, and twin data for the interval (x, floor(x^beta)]."""
     bs = beta_for(x, c)
-    iv = means.reduce_interval(x, bs.y, (ProductMethod.DIRECT,), sup=True, twins=True)
+    iv = means.reduce_interval(x, bs.y, (ProductMethod.DIRECT,), criterion=True)
     n = iv.count
     log_t = iv.log_t(ProductMethod.DIRECT)
     logx = math.log(x)
@@ -197,7 +198,7 @@ def twin_criterion(x: int, y: int) -> CriterionReport:
     The decision sup > P/(P+2) (strict) must agree with the brute-force
     scan; the two are computed independently in one pass and both reported.
     """
-    iv = means.reduce_interval(x, y, sup=True, twins=True)
+    iv = means.reduce_interval(x, y, criterion=True)
     threshold = Fraction(iv.P, iv.P + 2)
     return CriterionReport(
         x=int(x),

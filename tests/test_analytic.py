@@ -278,17 +278,35 @@ def test_log_t_product_is_log_of_t_product():
         )
 
 
+# One gate (analytic._ratio_primes) refuses a set that holds no ratio, with
+# one text, whichever entry point asks: the whole set, its product, or the
+# streamed pass, whose one empty block is a RatioSet too.
+RATIO_GATE = {
+    "empty": ((113, 126), EmptySetError, "no primes in (113, 126]"),
+    "empty_24_28": ((24, 28), EmptySetError, "no primes in (24, 28]"),
+    "from_2": ((1, 10), ValueError, "ratio sets need interval primes above 2 (x >= 2)"),
+}
+RATIO_ENTRIES = {
+    "build_ratio_set": lambda x, y: means.build_ratio_set(sieve.interval_primes(x, y)),
+    "log_t_product": lambda x, y: analytic.log_t_product(sieve.interval_primes(x, y)),
+    "reduce_interval": lambda x, y: means.reduce_interval(x, y),
+}
+
+
+def _gate_case(entry, case):
+    (x, y), exc, msg = RATIO_GATE[case]
+    return pytest.param(lambda: RATIO_ENTRIES[entry](x, y), exc, msg, id=f"{entry}_{case}")
+
+
 @pytest.mark.parametrize(
     "call,exc,msg",
     [
-        (lambda: analytic.log_t_product(sieve.interval_primes(113, 126)), EmptySetError,
-         "no primes in (113, 126]"),
-        (lambda: analytic.log_t_product(sieve.interval_primes(1, 10)), ValueError,
-         "ratio products need interval primes above 2"),
-        (lambda: analytic.IntervalProduct(("direct",)), ValueError, "unknown product method 'direct'"),
-        (lambda: analytic.derived_constants(math.nan, 0.5), ValueError, "M and C must be finite"),
+        *(_gate_case(entry, case) for entry in RATIO_ENTRIES for case in RATIO_GATE),
+        pytest.param(lambda: analytic.IntervalProduct(("direct",)), ValueError,
+                     "unknown product method 'direct'", id="IntervalProduct_method"),
+        pytest.param(lambda: analytic.derived_constants(math.nan, 0.5), ValueError,
+                     "M and C must be finite", id="derived_constants_nan"),
     ],
-    ids=["log_t_product_empty", "log_t_product_from_2", "IntervalProduct_method", "derived_constants_nan"],
 )
 def test_refusals(call, exc, msg):
     with pytest.raises(exc, match=f"^{re.escape(msg)}$"):

@@ -102,8 +102,8 @@ def test_interval_without_primes_sieves_once(sieved, x, y, p_e):
     """p_e of an interval without primes comes from the same pass as the
     interval, not from a second probe past y."""
     ip = sieve.interval_primes(x, y)
-    assert ip.primes.size == 0 and ip.P is None
-    assert ip.p_s == ip.p_e == p_e
+    assert ip.primes.size == 0
+    assert ip.p_e == p_e
     assert_one_pass(sieved, x, y)
 
 

@@ -10,6 +10,7 @@ at most sieve._BLOCK elements: their bits do not depend on the block size,
 and they hold a fixed buffer above the set's own arrays.
 """
 
+import dataclasses
 import math
 import tracemalloc
 from collections.abc import Sequence
@@ -124,6 +125,14 @@ def test_ratio_set_rejects_empty_and_two():
         RatioSet(x=1, y=3, primes=np.array([2, 3]), p_e=5)
 
 
+def test_ratio_set_is_the_interval_record():
+    # one record: a set is its IntervalPrimes, and declares no field of its own
+    rs = ratio_set(10, 20)
+    assert isinstance(rs, IntervalPrimes)
+    assert [f.name for f in dataclasses.fields(RatioSet)] == ["x", "y", "primes", "p_e"]
+    assert not vars(RatioSet).get("__annotations__")
+
+
 def test_ratio_set_is_a_lazy_sequence():
     # no element reader: a set is its arrays, its length and its extremes
     rs = ratio_set(10, 20)
@@ -188,7 +197,7 @@ def interval(case: str) -> tuple[IntervalPrimes, list[tuple[int, int]]]:
     pairs from the oracle (real intervals) or from the definition."""
     if case in CRAFTED:
         ps, p_e = CRAFTED[case]
-        ip = IntervalPrimes(ps[0] - 1, ps[-1], np.array(ps, dtype=np.int64), ps[0], ps[-1], p_e)
+        ip = IntervalPrimes(ps[0] - 1, ps[-1], np.array(ps, dtype=np.int64), p_e)
     else:
         x, y = REAL[case]
         ip = sieve.interval_primes(x, y)
@@ -305,3 +314,22 @@ def test_twin_criterion_matches_brute_force(xy):
     assert rep.brute_force_twins == oracle.twin_pairs(x, y)
     assert rep.decision == bool(rep.brute_force_twins)
     assert rep.m_inf == max(oracle.ratio_elements(x, y))
+
+
+def test_a_products_pass_keeps_neither_criterion_side():
+    iv = means.reduce_interval(10, 2_000, tuple(ProductMethod))
+    assert iv.sup is None and iv.twin_lower is None
+
+
+@PROPERTY_SETTINGS
+@given(intervals())
+def test_a_criterion_pass_keeps_the_sup_beside_the_scan(xy):
+    # one switch: the exact sup is never taken without the brute-force scan,
+    # and the two, computed apart, agree on whether a twin pair is there
+    x, y = xy
+    if not oracle.primes_between(x, y):
+        with pytest.raises(EmptySetError, match=rf"^no primes in \({x}, {y}\]$"):
+            means.reduce_interval(x, y, criterion=True)
+        return
+    iv = means.reduce_interval(x, y, criterion=True)
+    assert (iv.sup == 1) == bool(iv.twin_lower.size)

@@ -220,20 +220,19 @@ def test_one_pass_finds_the_successor_at_each_maximal_gap(sieved, p, g):
 def test_interval_10_20():
     ip = sieve.interval_primes(10, 20)
     assert ip.primes.tolist() == [11, 13, 17, 19]
-    assert (ip.p_s, ip.P, ip.p_e) == (11, 19, 23)
+    assert (int(ip.primes[0]), int(ip.primes[-1]), ip.p_e) == (11, 19, 23)
 
 
 def test_interval_empty():
     ip = sieve.interval_primes(24, 28)
     assert ip.primes.size == 0
-    assert ip.P is None
-    assert ip.p_s == ip.p_e == 29
+    assert ip.p_e == 29
 
 
 def test_interval_2_3():
     ip = sieve.interval_primes(2, 3)
     assert ip.primes.tolist() == [3]
-    assert (ip.p_s, ip.P, ip.p_e) == (3, 3, 5)
+    assert (int(ip.primes[0]), int(ip.primes[-1]), ip.p_e) == (3, 3, 5)
 
 
 def test_interval_rejects_bad_endpoints():
@@ -255,9 +254,7 @@ def test_interval_random_sweep():
         assert ip.primes.tolist() == ref
         assert ip.p_e == oracle.next_prime(y)
         if ref:
-            assert ip.p_s == ref[0] and ip.P == ref[-1]
-        else:
-            assert ip.P is None and ip.p_s == ip.p_e
+            assert int(ip.primes[0]) == ref[0] and int(ip.primes[-1]) == ref[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -99,7 +99,7 @@ def test_a_span_may_end_between_the_primes_of_a_twin_pair(monkeypatch, span):
     blocks = list(sieve.interval_windows(x, y))
     assert (p, p + 2) in [(int(b[-1]), q) for b, q in blocks]
     assert sieve.twin_pairs_in(x, y).tolist() == [a for a, _ in oracle.twin_pairs(x, y)]
-    iv = means.reduce_interval(x, y, tuple(ProductMethod), sup=True, twins=True)
+    iv = means.reduce_interval(x, y, tuple(ProductMethod), criterion=True)
     rs = means.build_ratio_set(sieve.interval_primes(x, y))
     assert iv.twin_lower.tolist() == [a for a, _ in oracle.twin_pairs(x, y)]
     count = sieve.prime_count(y) - sieve.prime_count(x)      # the count reader reads no span
@@ -159,7 +159,7 @@ def held_at_marking(monkeypatch):
 @pytest.mark.parametrize(
     "run",
     [
-        lambda: means.reduce_interval(10**5, 3 * 10**5, tuple(ProductMethod), sup=True, twins=True),
+        lambda: means.reduce_interval(10**5, 3 * 10**5, tuple(ProductMethod), criterion=True),
         lambda: verify.theorem1_report(3 * 10**5, 4.0),
         lambda: verify.lemma2_report(3 * 10**5, 4.0),
         lambda: sieve.twin_pairs_in(10**5, 3 * 10**5),

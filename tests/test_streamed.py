@@ -70,7 +70,7 @@ def materialised_row(x: int, c: float) -> Theorem1Row:
         m0=math.exp(log_t / n),
         m_inf=rs.sup,
         lower_bound=1.0 - c / bs.x_beta,
-        criterion_threshold=Fraction(ip.P, ip.P + 2),
+        criterion_threshold=Fraction(int(ip.primes[-1]), int(ip.primes[-1]) + 2),
         residual=bs.x_beta * -math.expm1(log_t / n) / c - 1.0,
         logz_crosscheck=(log_t - (2.0 * math.log(bs.beta) - (bs.beta - 1.0) * logx)) / n,
         pi_approx=pi_approx,
@@ -122,7 +122,7 @@ def test_window_boundary_between_twin_primes(segment):
             break
     assert (int(block[-1]), p_next) == (p, p + 2)
     assert seen < assert_streamed_row(x, 4.0).pi_interval
-    iv = means.reduce_interval(x, bs.y, twins=True)
+    iv = means.reduce_interval(x, bs.y, criterion=True)
     assert p in iv.twin_lower.tolist()
     assert np.array_equal(iv.twin_lower, sieve.twin_pairs_in(x, bs.y))
 
@@ -142,8 +142,8 @@ def split_kind(x: int, y: int, p: int) -> Optional[str]:
     end inside a window ("span"), or inside a block (None)."""
     ip = sieve.interval_primes(x, y)
     rs = means.build_ratio_set(ip)
-    iv = means.reduce_interval(x, y, tuple(ProductMethod), sup=True, twins=True)
-    assert (iv.count, iv.product.p_s, iv.P, iv.p_e) == (rs.primes.size, ip.p_s, ip.P, ip.p_e)
+    iv = means.reduce_interval(x, y, tuple(ProductMethod), criterion=True)
+    assert (iv.count, iv.product.p_s, iv.P, iv.p_e) == (rs.primes.size, ip.primes[0], ip.primes[-1], ip.p_e)
     i = int(np.searchsorted(rs.primes, p))
     assert rs.primes[i] == p and iv.sup == rs.sup == oracle.set_elements(rs)[i]
     assert iv.twin_lower.tolist() == set_twins(rs)
@@ -176,7 +176,7 @@ def test_streamed_sup_is_the_first_twin(monkeypatch, x, y):
     twin_blocks = [b for b, q in blocks if np.any(np.append(b[1:], q) - b == 2)]
     assert len(twin_blocks) > 2
     rs = means.build_ratio_set(sieve.interval_primes(x, y))
-    iv = means.reduce_interval(x, y, sup=True)
+    iv = means.reduce_interval(x, y, criterion=True)
     assert iv.sup == rs.sup == 1
     p = oracle.twin_pairs(x, y)[0][0]
     assert oracle.set_elements(rs)[int(np.searchsorted(rs.primes, p))] == 1
@@ -246,7 +246,7 @@ def test_reduction_equals_materialised_ratio_set(segment):
             with pytest.raises(EmptySetError):
                 means.reduce_interval(x, y)
             continue
-        iv = means.reduce_interval(x, y, sup=True, twins=True)
+        iv = means.reduce_interval(x, y, criterion=True)
         assert (iv.count, iv.product.p_s, iv.P, iv.p_e) == (rs.primes.size, rs.primes[0], rs.primes[-1], rs.p_e)
         assert iv.sup == rs.sup
         assert iv.twin_lower.tolist() == set_twins(rs)
@@ -260,7 +260,7 @@ def test_reduction_near_the_cap(monkeypatch):
     x, y = 10**10 - 3000, 10**10
     rs = means.build_ratio_set(sieve.interval_primes(x, y))
     monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", 256)
-    iv = means.reduce_interval(x, y, sup=True, twins=True)
+    iv = means.reduce_interval(x, y, criterion=True)
     assert iv.sup == rs.sup and iv.count == rs.primes.size
     assert [(p, p + 2) for p in iv.twin_lower.tolist()] == oracle.twin_pairs(x, y)
 
@@ -270,7 +270,7 @@ def test_sup_of_a_twinless_interval_from_a_later_window(monkeypatch, seg):
     x, y = 9_999_998_611, 9_999_999_016   # between two twin pairs, near the cap
     rs = means.build_ratio_set(sieve.interval_primes(x, y))
     monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", seg)
-    iv = means.reduce_interval(x, y, sup=True, twins=True)
+    iv = means.reduce_interval(x, y, criterion=True)
     first, _ = next(sieve.interval_windows(x, y))
     assert iv.sup.numerator > first[-1] and iv.twin_lower.size == 0   # below 1: numerator p
     assert iv.sup == rs.sup
