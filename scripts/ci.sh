@@ -40,18 +40,32 @@ $tw theorem1 --x 1e6 --c 1 --format table | grep -q '(1000721, 1000723) ... +536
 $tw criterion --x 10 --y 17 --format table | grep -q 'brute_force_twins  (11, 13) (17, 19)$'
 $tw criterion --x 999999000 --y 999999600 --format json
 $tw criterion --x 1e9 --y 1.01e9 --format csv
-$tw primes --limit 1e6 --format json
-$tw primes --limit 1e6 --format json --cache-path "$tmp/p.tpc1"
+# the same bytes uncached, from a run that builds the cache and from one
+# that the cache serves
+for args in "primes --limit 1e6" "lemma1 --x 1e6 --cutoff 1e6"; do
+    rm -f "$tmp/p.tpc1"
+    $tw $args --format json > "$tmp/uncached.out"
+    $tw $args --format json --cache-path "$tmp/p.tpc1" > "$tmp/built.out"
+    $tw $args --format json --cache-path "$tmp/p.tpc1" > "$tmp/served.out"
+    cmp "$tmp/uncached.out" "$tmp/built.out"
+    cmp "$tmp/uncached.out" "$tmp/served.out"
+done
 $tw mertens --x 1e6 --cutoff 1e6 --format json
 $tw constants --cutoff 1e6 --format json
-$tw lemma1 --x 1e6 --cutoff 1e6 --format json --cache-path "$tmp/p.tpc1"
 $tw theorem1 --x 5e8 --c 0.5 --format csv
 $tw theorem1 --x 1e6 --c 1 --format json
 $tw lemma2 --x 1e6 --c 1 --format json
-$tw gaps --limit 1e6 --format json
+$tw gaps --limit 1e6 --format json > "$tmp/gaps.out"
+grep -q '"gap": 114,' "$tmp/gaps.out"
+grep -q '"lower_prime": 492113,' "$tmp/gaps.out"
 $tw selftest --sets 5
 rc=0; $tw theorem1 --x 5 || rc=$?; test "$rc" -eq 2
 rc=0; $tw criterion --x 24 --y 28 || rc=$?; test "$rc" -eq 1
+# a value that is no number is refused in the option's terms, not in the
+# name of the function that parses it
+rc=0; $tw primes --limit abc 2> "$tmp/err" || rc=$?; test "$rc" -eq 2
+grep -q 'error: argument --limit: not an integer: abc$' "$tmp/err"
+if grep -q _int_arg "$tmp/err"; then exit 1; fi
 # the ratio-set gate's refusal, as the console prints it
 $tw criterion --x 24 --y 28 2>&1 >/dev/null | grep -qx 'error: no primes in (24, 28\]'
 $tw criterion --x 9999999400 --y 1e10 --format json       # the look-ahead passes the cap

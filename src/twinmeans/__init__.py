@@ -15,7 +15,6 @@ from .analytic import (
     IntervalProduct,
     ProductMethod,
     compute_constants,
-    derived_constants,
     lemma1_report,
     log_t_product,
     mertens_report,
@@ -96,7 +95,6 @@ __all__ = [
     "build_ratio_set",
     "cached_primes_up_to",
     "compute_constants",
-    "derived_constants",
     "interval_primes",
     "interval_windows",
     "iter_prime_segments",

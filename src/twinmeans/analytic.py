@@ -6,8 +6,9 @@ its float terms, the same bits as one math.fsum over them, however the terms
 arrive in segments.  The prime sums of a command come from one sieve pass
 (prime_sums), reduced in blocks of at most sieve._BLOCK primes through
 term buffers made once per call, so they hold a fixed buffer beyond the
-sieve window.  Products are evaluated as sums of log1p terms so near-1
-factors lose no precision.
+sieve window; the constants M, C, D' and D come from those sums through
+one builder (_constants).  Products are evaluated as sums of log1p terms
+so near-1 factors lose no precision.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ EULER_GAMMA = 0.577215664901532860606512090082
 # that sum fits the bucket _lo[top]; otherwise it is kept as one exact part.
 _BIG_BE = 2047 - 28
 _SPLIT = 1.5 * np.ldexp(1.0, np.maximum(np.arange(_BIG_BE), 1) - 1023 + 27)
-_FOLD_AT = 1 << 26   # terms the buckets take between folds, half the exact limit
+_FOLD_AT = 1 << 26   # terms the buckets take between folds, half the exact limit;
+                     # read at call time, as sieve._BLOCK is
 _CHUNK = 1 << 16     # terms split at a time, so the temporaries stay small
 _PARTS_AT = 1 << 8   # exact parts kept before they go back through the buckets
 
@@ -59,14 +61,15 @@ class ExactSum:
 
     The result has the bits of math.fsum over all the terms at once, in
     whatever batches they were added; that makes a segmented reduction
-    independent of the segment size.  Terms arrive in chunks of at most
-    _CHUNK.  A chunk whose nonzero magnitudes span at most 11 binades
-    (53 - 26 - log2(_CHUNK)) is split once at its top binade, and its hi
-    and lo parts each have an exact plain sum; any other chunk is split by
-    binade into exact float buckets (numpy bincount).  The buckets are
-    folded into the exact parts list before they could round, the parts
-    list goes back through the buckets when it grows past _PARTS_AT, and
-    math.fsum rounds the parts and buckets once at the end.  A chunk split
+    independent of the segment size.  Terms arrive through add only and
+    are taken in chunks of at most _CHUNK.  A chunk whose nonzero
+    magnitudes span at most 11 binades (53 - 26 - log2(_CHUNK)) is split
+    once at its top binade, and its hi and lo parts each have an exact
+    plain sum; any other chunk is split by binade into exact float buckets
+    (numpy bincount).  The buckets are folded into the exact parts list
+    before they take more than _FOLD_AT terms, so before they could round,
+    the parts list goes back through the buckets when it grows past
+    _PARTS_AT, and math.fsum rounds the parts and buckets once at the end.  A chunk split
     once takes one temporary of its size (|v|, then overwritten by hi and
     lo), and the instance keeps no scratch buffer between calls: the
     package adds at most sieve._BLOCK terms at a time, so that temporary is
@@ -75,14 +78,12 @@ class ExactSum:
     read between adds.
     """
 
-    def __init__(self, terms=()):
+    def __init__(self):
         self._hi = np.zeros(_BIG_BE)
         self._lo = np.zeros(_BIG_BE)
         self._pending = 0              # terms in the buckets since the last fold
         self._parts: list[float] = []  # exact parts: folded buckets, chunk lo sums,
                                        # big or non-finite terms
-        self._fold_at = _FOLD_AT       # read here, so a test can patch it
-        self.add(terms)
 
     def add(self, terms) -> None:
         self._feed(np.asarray(terms, dtype=np.float64).ravel())
@@ -91,7 +92,7 @@ class ExactSum:
             self._feed(np.array(parts))
 
     def _feed(self, v: np.ndarray) -> None:
-        step = min(self._fold_at, _CHUNK)
+        step = min(_FOLD_AT, _CHUNK)
         for i in range(0, v.size, step):
             self._add(v[i : i + step])
 
@@ -130,7 +131,7 @@ class ExactSum:
     def _take(self, n: int) -> None:
         """Count n more terms into the buckets, folding them first if the
         count would pass the threshold."""
-        if self._pending + n > self._fold_at:
+        if self._pending + n > _FOLD_AT:
             self._fold()
         self._pending += n
 
@@ -190,12 +191,6 @@ PRIME_SUMS = {
 }
 
 
-def _count_upto(seg: np.ndarray, limit: int) -> int:
-    if int(seg[-1]) <= limit:
-        return int(seg.size)
-    return int(np.searchsorted(seg, limit, side="right"))
-
-
 def prime_sums(
     limits: Mapping[str, int], *, cache: Optional[PrimeFile] = None
 ) -> dict[str, float]:
@@ -206,6 +201,7 @@ def prime_sums(
     at most sieve._BLOCK primes.  The terms of a block are written into four
     buffers allocated once per call: 1/p, which all the terms share, the M
     or C terms, 2/p and log1p(-2/p), which the C and twin terms share.
+    A block's primes up to each limit are counted by one binary search.
     Each sum is the correctly rounded sum of its float terms, so neither
     the sieve window size, the block size nor a cache changes it.
     """
@@ -223,7 +219,7 @@ def prime_sums(
     for seg in prime_stream(max(lim.values()), cache=cache):
         for i in range(0, seg.size, inv.size):
             blk = seg[i : i + inv.size]
-            n = {name: _count_upto(blk, x) for name, x in lim.items()}
+            n = {name: int(np.searchsorted(blk, x, "right")) for name, x in lim.items()}
             k = max(n.values())
             a = np.divide(1.0, blk[:k], out=inv[:k])
             if "recip" in n:
@@ -256,13 +252,22 @@ def _m_estimate(s: float, cutoff: int) -> tuple[float, float]:
 
 
 def _constants(s: Mapping[str, float], cutoff: int) -> ConstantsBundle:
-    """The constants from the M and C sums to `cutoff`.  C is minus the sum
-    of log(1 - 2/p) + 2/p over odd p <= cutoff; each dropped term is at most
-    6/p^2, so 6/cutoff bounds its tail.  It increases with the cutoff and
-    converges from below."""
-    m_hat, m_tail = _m_estimate(s["M"], cutoff)
-    return derived_constants(
-        m_hat, -s["C"], cutoff=cutoff, tail_radius_M=m_tail, tail_radius_C=6.0 / int(cutoff)
+    """The constants from the M and C sums to `cutoff`, with D' = 2M + C - 1
+    and D = D' + log 2.  C is minus the sum of log(1 - 2/p) + 2/p over odd
+    p <= cutoff; each dropped term is at most 6/p^2, so 6/cutoff bounds its
+    tail.  It increases with the cutoff and converges from below."""
+    m, tail_m = _m_estimate(s["M"], cutoff)
+    c, tail_c = -s["C"], 6.0 / int(cutoff)
+    d_prime = 2.0 * m + c - 1.0
+    return ConstantsBundle(
+        cutoff=int(cutoff),
+        M=m,
+        C=c,
+        D_prime=d_prime,
+        D=d_prime + math.log(2.0),
+        tail_radius=max(tail_m, tail_c),
+        tail_radius_M=tail_m,
+        tail_radius_C=tail_c,
     )
 
 
@@ -281,30 +286,6 @@ def mertens_report(
         scaled_residual=(obs - pred) * math.log(x) ** 2,
         scale_note="(observed - predicted) * log^2 x; expected bounded",
     ), m_hat
-
-
-def derived_constants(
-    M: float,
-    C: float,
-    *,
-    cutoff: int = 0,
-    tail_radius_M: float = 0.0,
-    tail_radius_C: float = 0.0,
-) -> ConstantsBundle:
-    """Bundle M and C with D' = 2M + C - 1 and D = D' + log 2."""
-    if not (math.isfinite(M) and math.isfinite(C)):
-        raise ValueError("M and C must be finite")
-    d_prime = 2.0 * M + C - 1.0
-    return ConstantsBundle(
-        cutoff=int(cutoff),
-        M=M,
-        C=C,
-        D_prime=d_prime,
-        D=d_prime + math.log(2.0),
-        tail_radius=float(max(tail_radius_M, tail_radius_C)),
-        tail_radius_M=float(tail_radius_M),
-        tail_radius_C=float(tail_radius_C),
-    )
 
 
 def compute_constants(

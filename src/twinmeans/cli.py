@@ -177,10 +177,13 @@ def _int_arg(s: str) -> int:
     try:
         return int(s)
     except ValueError:
-        v = float(s)   # accepts 1e6 style; argparse turns ValueError into exit 2
+        try:
+            v = float(s)   # accepts 1e6 style
+        except ValueError:
+            v = math.nan
         if math.isinf(v):
             raise argparse.ArgumentTypeError(f"too large: {s}")
-        if v != int(v):
+        if not v.is_integer():   # 2.5, nan, or no number at all
             raise argparse.ArgumentTypeError(f"not an integer: {s}")
         return int(v)
 

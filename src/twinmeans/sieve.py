@@ -497,26 +497,28 @@ def interval_primes(x: int, y: int) -> IntervalPrimes:
 
 
 def max_gap_up_to(limit: int, *, cache: Optional[PrimeFile] = None) -> GapRecord:
-    """Largest consecutive-prime gap with both primes <= limit."""
+    """Largest consecutive-prime gap with both primes <= limit, the earliest
+    of equal ones.
+
+    Each array of the stream takes one comparison over the gaps below its
+    primes, the first reaching back to the last prime of the array before
+    (the stream starts at 2, below which there is no gap), so a gap across
+    a sieve window, span or cache read counts as any other.
+    """
     limit = int(limit)
     if limit < 3:
         raise ValueError("need limit >= 3 so at least one gap exists")
-    best_gap = 0
-    best_lower = 0
-    prev = None
+    best_gap = best_lower = 0
+    prev = 2
     for seg in prime_stream(limit, cache=cache):
-        if prev is not None:
-            boundary = int(seg[0]) - prev
-            if boundary > best_gap:
-                best_gap, best_lower = boundary, prev
-        if seg.size > 1:
-            gaps = np.diff(seg)
-            i = int(np.argmax(gaps))   # argmax takes the first maximum: earliest tie
-            if int(gaps[i]) > best_gap:
-                best_gap, best_lower = int(gaps[i]), int(seg[i])
-            del gaps
+        gaps = np.empty_like(seg)
+        gaps[0] = seg[0] - prev
+        np.subtract(seg[1:], seg[:-1], out=gaps[1:])
+        i = int(np.argmax(gaps))   # argmax takes the first maximum: earliest tie
+        if int(gaps[i]) > best_gap:
+            best_gap, best_lower = int(gaps[i]), int(seg[i] - gaps[i])
         prev = int(seg[-1])
-        del seg     # freed before the next step is sieved or read
+        del seg, gaps   # freed before the next step is sieved or read
     return GapRecord(limit=limit, gap=best_gap, lower_prime=best_lower)
 
 

@@ -170,7 +170,8 @@ def test_estimate_C_rises_to_the_30_digit_constant():
 
 
 def test_derived_constants_arithmetic():
-    b = analytic.derived_constants(0.25, 0.5)
+    b = analytic._constants({"M": 0.25 - EULER_GAMMA, "C": -0.5}, 1)
+    assert (b.M, b.C) == (0.25, 0.5)
     assert b.D_prime == pytest.approx(0.0, abs=1e-16)
     assert b.D == pytest.approx(math.log(2), rel=1e-15)
 
@@ -304,8 +305,6 @@ def _gate_case(entry, case):
         *(_gate_case(entry, case) for entry in RATIO_ENTRIES for case in RATIO_GATE),
         pytest.param(lambda: analytic.IntervalProduct(("direct",)), ValueError,
                      "unknown product method 'direct'", id="IntervalProduct_method"),
-        pytest.param(lambda: analytic.derived_constants(math.nan, 0.5), ValueError,
-                     "M and C must be finite", id="derived_constants_nan"),
     ],
 )
 def test_refusals(call, exc, msg):

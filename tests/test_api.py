@@ -13,7 +13,7 @@ PUBLIC = [
     "IntervalReduction", "MAX_SIEVE_LIMIT", "MeanLimit", "MeanValue", "PrimeFile",
     "ProductMethod", "RatioSet", "SelftestReport",
     "Theorem1Row", "TwinPairs", "__version__", "beta_for", "build_ratio_set",
-    "cached_primes_up_to", "compute_constants", "derived_constants", "interval_primes",
+    "cached_primes_up_to", "compute_constants", "interval_primes",
     "interval_windows", "iter_prime_segments", "lemma1_report", "lemma2_report",
     "load_cache", "log_t_product", "max_element", "max_gap_up_to", "mean_limit",
     "mertens_report", "min_element", "power_mean", "prime_count",

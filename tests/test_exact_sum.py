@@ -25,6 +25,13 @@ def bits(v: float) -> bytes:
     return struct.pack("<d", v)
 
 
+def summed(terms) -> ExactSum:
+    """A new ExactSum given `terms` in one add."""
+    acc = ExactSum()
+    acc.add(terms)
+    return acc
+
+
 # Any sign, binade and mantissa from the subnormals (2^-1074) up to 2^1012;
 # 200 such terms cannot overflow a partial sum, so fsum is defined on them.
 term = st.one_of(
@@ -42,7 +49,7 @@ term = st.one_of(
 @given(terms=st.lists(term, max_size=200), cuts=st.lists(st.integers(0, 200)), fold_at=st.integers(1, 9))
 def test_exact_sum_matches_fsum_in_any_batches(terms, cuts, fold_at):
     want = bits(math.fsum(terms))
-    assert bits(ExactSum(terms).value) == want
+    assert bits(summed(terms).value) == want
     # with a small fold threshold the buckets fold many times
     with mock.patch.object(analytic, "_FOLD_AT", fold_at):
         acc = ExactSum()
@@ -58,7 +65,7 @@ def test_exact_sum_matches_fsum_in_any_batches(terms, cuts, fold_at):
 @given(terms=st.lists(term, min_size=1, max_size=60))
 def test_exact_sum_of_terms_and_their_negations_is_zero(terms):
     both = terms + [-v for v in terms]
-    assert bits(ExactSum(both).value) == bits(math.fsum(both)) == bits(0.0)
+    assert bits(summed(both).value) == bits(math.fsum(both)) == bits(0.0)
 
 
 def test_exact_sum_one_binade_and_many_binades():
@@ -66,7 +73,7 @@ def test_exact_sum_one_binade_and_many_binades():
     one = rng.uniform(1.0, 2.0, 10_000)             # one binade: the plain-sum path
     many = rng.standard_normal(10_000) * 10.0 ** rng.integers(-300, 300, 10_000)
     for arr in (one, many, np.concatenate((one, many))):
-        assert bits(ExactSum(arr).value) == bits(math.fsum(arr))
+        assert bits(summed(arr).value) == bits(math.fsum(arr))
 
 
 def test_exact_sum_top_binade_and_non_finite_fall_back_to_fsum():
@@ -80,14 +87,14 @@ def test_exact_sum_top_binade_and_non_finite_fall_back_to_fsum():
         [math.inf, math.nan],
     ]
     for terms in cases:
-        assert bits(ExactSum(terms).value) == bits(math.fsum(terms))
+        assert bits(summed(terms).value) == bits(math.fsum(terms))
         with mock.patch.object(analytic, "_FOLD_AT", 2):
             acc = ExactSum()
             for v in terms:
                 acc.add([v])
         assert bits(acc.value) == bits(math.fsum(terms))
     with pytest.raises(ValueError):
-        ExactSum([math.inf, -math.inf]).value   # as fsum: -inf + inf
+        summed([math.inf, -math.inf]).value   # as fsum: -inf + inf
 
 
 def test_exact_sum_folds_its_buckets_past_the_threshold():
@@ -100,7 +107,7 @@ def test_exact_sum_folds_its_buckets_past_the_threshold():
 
 def test_exact_sum_empty_and_zeros():
     assert bits(ExactSum().value) == bits(0.0)
-    assert bits(ExactSum([-0.0, -0.0]).value) == bits(math.fsum([-0.0, -0.0]))
+    assert bits(summed([-0.0, -0.0]).value) == bits(math.fsum([-0.0, -0.0]))
 
 
 def test_power_means_are_the_fsum_of_their_terms():
@@ -176,16 +183,16 @@ def span_chunk(span: int, n_top: int) -> np.ndarray:
 def test_exact_sum_at_span_11_and_12():
     one, other = span_chunk(11, 21), span_chunk(11, 20)
     for chunk in (one, other):
-        acc = ExactSum(chunk)
+        acc = summed(chunk)
         assert bits(acc.value) == bits(math.fsum(chunk))
         assert len(acc._parts) == 1          # one split: its lo sum is one exact part
     # two lo sums of the same binades together need more than 53 bits
-    acc = ExactSum(one)
+    acc = summed(one)
     acc.add(other)
     assert bits(acc.value) == bits(math.fsum(np.concatenate((one, other))))
     # at span 12 the lo parts of a chunk need 54 bits: the bucket path
     chunk = span_chunk(12, 11)
-    acc = ExactSum(chunk)
+    acc = summed(chunk)
     assert bits(acc.value) == bits(math.fsum(chunk))
     assert acc._parts == []
 

@@ -124,6 +124,9 @@ ERRORS = [
     ("selftest --seed x", 2, "fa7f616f8d67acf740033f907846f247e6e5efa9b65ea9f1149f0b0113a8d8c5"),
     ("primes --limit 1e400", 2, "43a3d27d3b4a8b045719f48d61187dd07bffc7fab4ce620f4498d87f6121a4e0"),
     ("scan --x-values 1e400", 2, "47010395add6b3b1523a186d21381caad53d51a8e1f5a7ddcf45dd085cee9fde"),
+    ("primes --limit abc", 2, "a7dd4cb2a26de47c3aabde1695eec808251a7247af99535c664c072341044cbf"),
+    ("primes --limit nan", 2, "6e2cffc75a4cb70bfcdabc525c6bcda5c202b619baba15403d8b922946b54c04"),
+    ("scan --x-values 10,abc", 2, "39f80be2f081274484ef3873e83b4503ffa6c047cf46d8fe525a64175a1ea717"),
     ("criterion --x 24 --y 28", 1, "77a557645a124bfcda90f69dbd45b8874e86a51a5f3d81a48bfea7beecd52da7"),
     ("theorem1 --x 113 --c 0.1", 1, "636335967f16a5df7cb1d3460226ba85aafc6bb890546ba416c53e1453287699"),
     ("scan --x-values 100,10 --c 0.1 --format csv", 1, "04f124906b4231cbaf05f4aacf1c3753a46caedcf81e3dfb0a978f1991f6f6d0"),

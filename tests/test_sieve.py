@@ -303,6 +303,21 @@ def test_max_gap_earliest_tie_wins_across_a_window_boundary(monkeypatch):
     assert sieve.max_gap_up_to(37) == sieve.GapRecord(limit=37, gap=6, lower_prime=23)
 
 
+def test_max_gap_across_cache_reads(tmp_path, monkeypatch):
+    # reads of 9 entries end at 23, so 23 -> 29 spans two reads; reads of 11
+    # end at 31, so the tying gap 31 -> 37 does
+    ps = sieve.save_cache(37, str(tmp_path / "p37.tpc"))
+    for block in (9, 11):
+        monkeypatch.setattr(sieve, "_BLOCK", block)
+        assert sieve.max_gap_up_to(37, cache=ps) == sieve.GapRecord(limit=37, gap=6, lower_prime=23)
+    ps = sieve.save_cache(2_000, str(tmp_path / "p2000.tpc"))
+    monkeypatch.setattr(sieve, "_BLOCK", 7)
+    rng = random.Random(17)
+    for limit in [3, 2_000, *(rng.randrange(3, 2_000) for _ in range(60))]:
+        rec = sieve.max_gap_up_to(limit, cache=ps)
+        assert (rec.gap, rec.lower_prime) == oracle.max_gap(limit)
+
+
 # ---------------------------------------------------------------------------
 # twin scan
 
