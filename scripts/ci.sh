@@ -70,6 +70,19 @@ if grep -q _int_arg "$tmp/err"; then exit 1; fi
 $tw criterion --x 24 --y 28 2>&1 >/dev/null | grep -qx 'error: no primes in (24, 28\]'
 $tw criterion --x 9999999400 --y 1e10 --format json       # the look-ahead passes the cap
 rc=0; $tw criterion --x 9999999400 --y 10000000001 || rc=$?; test "$rc" -eq 1
+# the report layer: pooled rows come back as a row or an error text and
+# print as the serial ones do; a scan whose rows all fail prints its header
+# alone; every integer option reads 5e0 as 5 and refuses what is no integer
+$tw scan --x-values 1e4,1e5,1e6 --c 1 --format json --jobs 1 > "$tmp/serial.out"
+$tw scan --x-values 1e4,1e5,1e6 --c 1 --format json --jobs 2 > "$tmp/pooled.out"
+cmp "$tmp/serial.out" "$tmp/pooled.out"
+rc=0; $tw scan --x-values 10,113 --c 0.1 --format csv > "$tmp/scan.out" 2>/dev/null || rc=$?; test "$rc" -eq 1
+echo x,c,beta,x_beta,pi_interval,M0,M_inf,lower_bound,threshold,residual,twin_count | cmp - "$tmp/scan.out"
+$tw selftest --sets 5e0 --format csv > "$tmp/sci.out"
+$tw selftest --sets 5 --format csv > "$tmp/plain.out"
+cmp "$tmp/sci.out" "$tmp/plain.out"
+rc=0; $tw selftest --seed x 2> "$tmp/err" || rc=$?; test "$rc" -eq 2
+grep -q 'error: argument --seed: not an integer: x$' "$tmp/err"
 for args in "selftest --sets 5 --format csv" "scan --x-values 1e4,1e5,1e6 --c 1 --jobs 2 --format json"; do
     $tw $args > "$tmp/first.out"
     $tw $args > "$tmp/second.out"

@@ -3,7 +3,8 @@
 Output contract: --format table prints reals with 6 significant digits for
 reading; json and csv carry 17 significant digits so every value round-trips
 to the exact double.  Exit codes: 0 success, 2 argument errors (usage to
-stderr), 1 computation errors.
+stderr), 1 computation errors.  Every report, scan's rows included, prints
+through one function, _emit.
 """
 
 from __future__ import annotations
@@ -48,19 +49,13 @@ SCAN_CSV_FIELDS = [
 
 
 def _json_scalar(v) -> str:
-    if isinstance(v, bool):     # before int: a bool is an int
-        return "true" if v else "false"
-    if isinstance(v, int):
-        return str(v)
+    """A float to 17 digits; a bool, int, str or None as json.dumps writes
+    it, which refuses any other type with TypeError."""
     if isinstance(v, float):
         if not math.isfinite(v):
             raise ValueError("non-finite value in report")
         return format(v, f".{WIRE_DIGITS}g")
-    if v is None:
-        return "null"
-    if isinstance(v, str):
-        return json.dumps(v)
-    raise TypeError(f"unsupported report value {v!r}")
+    return json.dumps(v)
 
 
 def _json_pieces(obj, indent: int = 0) -> Iterator[str]:
@@ -105,19 +100,11 @@ def _cell(v, table: bool = False) -> str:
     return str(v)
 
 
-def _emit_csv(fields: Sequence[str], rows: Sequence[dict], out) -> None:
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(fields)
-    for r in rows:
-        w.writerow([_cell(r[f]) for f in fields])
-
-
-def _emit_row_table(fields: Sequence[str], rows: Sequence[dict], out) -> None:
-    cells = [list(fields)] + [[_cell(r[f], table=True) for f in fields] for r in rows]
-    widths = [max(len(row[i]) for row in cells) for i in range(len(fields))]
-    for row in cells:
-        line = "  ".join(val.ljust(w) for val, w in zip(row, widths))
-        print(line.rstrip(), file=out)
+def _table(rows: Sequence[Sequence[str]]) -> None:
+    """Print rows of cells, each column padded to its widest cell."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    for row in rows:
+        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
 
 
 def _pairs_preview(pairs: TwinPairs, limit: int = 8) -> str:
@@ -200,23 +187,31 @@ def _cache_for(args, limit: int) -> Optional[PrimeFile]:
     return sieve.cached_primes_up_to(limit, path) if path else None
 
 
-def _emit(args, payload: dict, csv_fields: Sequence[str] = (), table=()) -> None:
-    """Print one report, its lists in json only.  In a table, the (key, text)
-    rows of `table` replace the value of that key and go last."""
+def _emit(args, payload: dict, csv_fields: Sequence[str] = (), table=(), rows=None) -> None:
+    """Print a report; every command prints through here, its lists in json
+    only.  csv, and the table of a scan, print a header of `csv_fields` (of
+    every scalar by default) over one line per payload of `rows`, or over
+    the report's scalars when `rows` is None.  Any other table prints a line
+    per scalar, where the (key, text) pairs of `table` replace the value of
+    that key and go last."""
     if args.format == "json":
         sys.stdout.writelines(_json_pieces(payload))
         sys.stdout.write("\n")
         return
     scalars = _scalars(payload)
-    if args.format == "csv":
-        _emit_csv(csv_fields or list(scalars), [scalars], sys.stdout)
+    is_table = args.format == "table"
+    if is_table and rows is None:
+        replaced = dict(table)
+        cells = [(k, _cell(v, table=True)) for k, v in scalars.items() if k not in replaced]
+        _table(cells + list(table))
         return
-    replaced = dict(table)
-    pairs = [(k, _cell(v, table=True)) for k, v in scalars.items() if k not in replaced]
-    pairs += table
-    width = max(len(k) for k, _ in pairs)
-    for k, v in pairs:
-        print(f"{k.ljust(width)}  {v}")
+    fields = csv_fields or list(scalars)
+    rows = [scalars] if rows is None else rows
+    grid = [fields] + [[_cell(r[f], is_table) for f in fields] for r in rows]
+    if is_table:
+        _table(grid)
+    else:
+        csv.writer(sys.stdout, lineterminator="\n").writerows(grid)
 
 
 # ---------------------------------------------------------------------------
@@ -278,13 +273,9 @@ def _cmd_theorem1(args) -> int:
 def _cmd_scan(args) -> int:
     rows, failures = verify.theorem1_scan(args.x_values, args.c, jobs=args.jobs)
     payloads = [_scalars(to_payload(r)) for r in rows]
-    if args.format == "json":
-        failed = [{"x": x, "error": msg} for x, msg in failures]
-        _emit(args, {"c": args.c, "rows": payloads, "failures": failed})
-    elif args.format == "csv":
-        _emit_csv(SCAN_CSV_FIELDS, payloads, sys.stdout)
-    else:
-        _emit_row_table(SCAN_CSV_FIELDS, payloads, sys.stdout)
+    failed = [{"x": x, "error": msg} for x, msg in failures]
+    doc = {"c": args.c, "rows": payloads, "failures": failed}
+    _emit(args, doc, SCAN_CSV_FIELDS, rows=payloads)
     for x, msg in failures:
         print(f"scan: x={x}: {msg}", file=sys.stderr)
     return 1 if failures else 0
@@ -359,14 +350,14 @@ COMMANDS = {
         Arg("--x-values", verify.X_MIN, _int_list_arg,
             help="comma-separated x list, e.g. 10000,100000,1000000"),
         Arg("--c", verify.C_RANGE, float, 1.0),
-        Arg("--jobs", 1, int, 1, help="parallel workers"),
+        Arg("--jobs", 1, default=1, help="parallel workers"),
     )),
     "criterion": Command(
         _cmd_criterion, "exact twin decision for (x, y]", False, (Arg("--x", 2), Arg("--y", "--x"))
     ),
     "selftest": Command(_cmd_selftest, "seeded power-mean property checks", False, (
-        Arg("--seed", type=int, default=0),
-        Arg("--sets", 1, int, 100),
+        Arg("--seed", default=0),
+        Arg("--sets", 1, default=100),
     )),
 }
 

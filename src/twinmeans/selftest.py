@@ -71,8 +71,12 @@ def run_selftest(seed: int = 0, sets: int = 100) -> SelftestReport:
         raise ValueError("need at least one set")
     rng = random.Random(seed)
     failures: list[str] = []
-    mono_checks = 0
-    limit_checks = 0
+    checks = {"monotonicity": 0, "limit": 0}
+
+    def check(kind: str, ok: bool, text: str) -> None:
+        checks[kind] += 1
+        if not ok:
+            failures.append(f"set {i}: {text}")
 
     for i in range(sets):
         vals, constant = _monotone_set(rng, i)
@@ -82,43 +86,33 @@ def run_selftest(seed: int = 0, sets: int = 100) -> SelftestReport:
         for a_prev, a_next, v_prev, v_next in zip(
             ALPHA_GRID, ALPHA_GRID[1:], grid, grid[1:]
         ):
-            mono_checks += 1
-            if v_next < v_prev - MONOTONE_TOL:
-                failures.append(
-                    f"set {i}: mean at alpha={a_next} below alpha={a_prev} "
-                    f"({v_next!r} < {v_prev!r})"
-                )
-        mono_checks += 1
-        if not (lo <= min(grid) and max(grid) <= hi):
-            failures.append(f"set {i}: grid means escape the [min, max] bracket")
+            check("monotonicity", not v_next < v_prev - MONOTONE_TOL,
+                  f"mean at alpha={a_next} below alpha={a_prev} ({v_next!r} < {v_prev!r})")
+        check("monotonicity", lo <= min(grid) and max(grid) <= hi,
+              "grid means escape the [min, max] bracket")
         spread = max(grid) - min(grid)
-        mono_checks += 1
         if constant:
-            if spread > MONOTONE_TOL:
-                failures.append(f"set {i}: constant set spread {spread!r}")
-        elif spread <= MONOTONE_TOL:
-            failures.append(f"set {i}: distinct values but flat grid")
+            check("monotonicity", not spread > MONOTONE_TOL, f"constant set spread {spread!r}")
+        else:
+            check("monotonicity", not spread <= MONOTONE_TOL, "distinct values but flat grid")
 
         vals = _limit_set(rng)
         geo = mean_limit(vals, MeanLimit.ZERO).value
         for a in (1e-6, -1e-6):
-            limit_checks += 1
-            if abs(power_mean(vals, a).value - geo) > ZERO_LIMIT_REL_TOL * geo:
-                failures.append(f"set {i}: alpha={a} mean far from geometric mean")
+            check("limit", not abs(power_mean(vals, a).value - geo) > ZERO_LIMIT_REL_TOL * geo,
+                  f"alpha={a} mean far from geometric mean")
         top = max(vals)
-        limit_checks += 1
-        if abs(power_mean(vals, SUP_ALPHA).value - top) > SUP_REL_TOL * top:
-            failures.append(f"set {i}: alpha={SUP_ALPHA} mean not within 2% of max")
-        limit_checks += 2
-        if mean_limit(vals, MeanLimit.PLUS_INF).value != top:
-            failures.append(f"set {i}: PLUS_INF limit is not the exact max")
-        if mean_limit(vals, MeanLimit.MINUS_INF).value != min(vals):
-            failures.append(f"set {i}: MINUS_INF limit is not the exact min")
+        check("limit", not abs(power_mean(vals, SUP_ALPHA).value - top) > SUP_REL_TOL * top,
+              f"alpha={SUP_ALPHA} mean not within 2% of max")
+        check("limit", mean_limit(vals, MeanLimit.PLUS_INF).value == top,
+              "PLUS_INF limit is not the exact max")
+        check("limit", mean_limit(vals, MeanLimit.MINUS_INF).value == min(vals),
+              "MINUS_INF limit is not the exact min")
 
     return SelftestReport(
         seed=seed,
         sets=sets,
-        monotonicity_checks=mono_checks,
-        limit_checks=limit_checks,
+        monotonicity_checks=checks["monotonicity"],
+        limit_checks=checks["limit"],
         failures=failures,
     )

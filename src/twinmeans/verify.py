@@ -211,16 +211,16 @@ def twin_criterion(x: int, y: int) -> CriterionReport:
     )
 
 
-def _failure(x: int, exc: BaseException):
-    return ("err", (x, f"{type(exc).__name__}: {exc}"))
+def _error_text(exc: BaseException) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
-def _scan_one(task: tuple[int, float]):
-    x, c = task
+def _scan_one(task: tuple[int, float]) -> Theorem1Row | str:
+    """The row of one x, or the text of the error it raised."""
     try:
-        return ("ok", theorem1_report(x, c))
+        return theorem1_report(*task)
     except Exception as exc:  # collected per row, scan continues
-        return _failure(x, exc)
+        return _error_text(exc)
 
 
 def _pool_results(tasks: list[tuple[int, float]], jobs: int) -> list:
@@ -241,16 +241,16 @@ def _pool_results(tasks: list[tuple[int, float]], jobs: int) -> list:
             fut.set_exception(exc)
             return fut
 
-    def result(fut: Future, x: int):
+    def result(fut: Future):
         try:
             return fut.result()
         except BrokenProcessPool as exc:   # a worker died: every row it took down fails
-            return _failure(x, exc)
+            return _error_text(exc)
 
     # a fork pool starts all max_workers processes at the first submit
     with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         futures = [submit(t) for t in tasks]
-        return [result(f, x) for f, (x, _) in zip(futures, tasks)]
+        return [result(f) for f in futures]
 
 
 def theorem1_scan(
@@ -268,9 +268,9 @@ def theorem1_scan(
         results = _pool_results(tasks, jobs)
     rows: list[Theorem1Row] = []
     failures: list[tuple[int, str]] = []
-    for tag, payload in results:
-        if tag == "ok":
-            rows.append(payload)
+    for (x, _), result in zip(tasks, results):
+        if isinstance(result, str):
+            failures.append((x, result))
         else:
-            failures.append(payload)
+            rows.append(result)
     return rows, failures

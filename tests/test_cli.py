@@ -104,6 +104,65 @@ def test_json_renders_bools_and_refuses_what_it_cannot_carry():
         "".join(cli._json_pieces({"v": np.int64(3)}))
 
 
+# every subcommand on small arguments; the last scan's rows all fail
+_ONE_OF_EACH = [
+    "primes --limit 100",
+    "gaps --limit 100",
+    "mertens --x 1e3 --cutoff 1e4",
+    "constants --cutoff 1e4",
+    "lemma1 --x 1e3 --cutoff 1e4",
+    "lemma2 --x 1e3 --c 1",
+    "theorem1 --x 1e3 --c 1",
+    "scan --x-values 100,1000",
+    "scan --x-values 10,113 --c 0.1",
+    "criterion --x 10 --y 20",
+    "selftest --sets 3",
+]
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+@pytest.mark.parametrize("argv", _ONE_OF_EACH)
+def test_every_report_prints_through_one_emit(capsys, monkeypatch, argv, fmt):
+    argv = argv.split() + ["--format", fmt]
+    expected = run_cmd(capsys, *argv)
+    calls = []
+    emit = cli._emit
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].command)
+        return emit(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_emit", counted)
+    assert run_cmd(capsys, *argv) == expected
+    assert calls == [argv[0]]
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv"])
+def test_scan_with_no_rows_prints_the_header_alone(capsys, fmt):
+    rc, out, err = run_cmd(capsys, "scan", "--x-values", "10,113", "--c", "0.1", "--format", fmt)
+    assert rc == 1
+    assert out == ("  " if fmt == "table" else ",").join(cli.SCAN_CSV_FIELDS) + "\n"
+    assert err.splitlines() == [
+        "scan: x=10: ValueError: degenerate interval: floor(x^beta)=10 <= x=10",
+        "scan: x=113: EmptySetError: no primes in (113, 115]",
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv,plain",
+    [
+        ("selftest --sets 1e1 --format csv", "selftest --sets 10 --format csv"),
+        ("selftest --seed 1e3 --sets 3 --format json", "selftest --seed 1000 --sets 3 --format json"),
+        ("scan --x-values 100 --jobs 1e0 --format csv", "scan --x-values 100 --jobs 1 --format csv"),
+    ],
+    ids=["sets", "seed", "jobs"],
+)
+def test_every_integer_option_accepts_scientific_notation(capsys, argv, plain):
+    expected = run_cmd(capsys, *plain.split())
+    assert expected[0] == 0
+    assert run_cmd(capsys, *argv.split()) == expected
+
+
 # ---------------------------------------------------------------------------
 # json output is the library's report, and reads back without loss
 

@@ -14,6 +14,10 @@ The criterion corpus holds one twinless window, (10000000, 10000100], whose
 sup is the strict 10000079/10000101.  The three selftest hashes (json, csv,
 table) were retaken when selftest stopped printing its run time
 (elapsed_s); every other selftest byte stayed, so no output is masked.
+The `selftest --seed x` error hash was retaken when --seed, --sets and
+--jobs came to parse like every other integer option: its stderr now ends
+`argument --seed: not an integer: x`, where argparse's own int check said
+`invalid int value: 'x'`.
 Usage and help text is wrapped at COLUMNS=80.
 
 To regenerate after a deliberate output change, run
@@ -121,7 +125,7 @@ ERRORS = [
     ("scan --x-values 100,5,7", 2, "8d815b055b4b929adc34ded6b5ba080a5c313148eeb3bea8a18edd55ce72026b"),
     ("scan --x-values 100 --c 9", 2, "d699a2add4ad45b58e805c94662baed05d3613de420ec3ef64bfd3676fef7ab7"),
     ("scan --x-values 5 --c 9 --jobs 0", 2, "142795f811e2e88cfe1b1dd3afedd0a2b80d2d54b11af6084af676dbcfa26bf3"),
-    ("selftest --seed x", 2, "fa7f616f8d67acf740033f907846f247e6e5efa9b65ea9f1149f0b0113a8d8c5"),
+    ("selftest --seed x", 2, "1477e571728ccc800dc95f2a45790eb9e544c3150fa83f024b39693745e3cd8a"),
     ("primes --limit 1e400", 2, "43a3d27d3b4a8b045719f48d61187dd07bffc7fab4ce620f4498d87f6121a4e0"),
     ("scan --x-values 1e400", 2, "47010395add6b3b1523a186d21381caad53d51a8e1f5a7ddcf45dd085cee9fde"),
     ("primes --limit abc", 2, "a7dd4cb2a26de47c3aabde1695eec808251a7247af99535c664c072341044cbf"),
@@ -130,6 +134,8 @@ ERRORS = [
     ("criterion --x 24 --y 28", 1, "77a557645a124bfcda90f69dbd45b8874e86a51a5f3d81a48bfea7beecd52da7"),
     ("theorem1 --x 113 --c 0.1", 1, "636335967f16a5df7cb1d3460226ba85aafc6bb890546ba416c53e1453287699"),
     ("scan --x-values 100,10 --c 0.1 --format csv", 1, "04f124906b4231cbaf05f4aacf1c3753a46caedcf81e3dfb0a978f1991f6f6d0"),
+    ("selftest --sets 2.5", 2, "b36170d0120997b6e28ed70caf424fa72e0af129ae1e642e986eab8fd070eda1"),
+    ("scan --x-values 100 --jobs 1.5", 2, "f53d3acd67ab23ceebf963b2ff4ae104ad9eb681b8c22a36a8de8fdcbd52ae65"),
 ]
 
 

@@ -85,6 +85,35 @@ def test_wrong_means_fail_the_run(monkeypatch, grid, limit, kinds):
         assert any(kind in f for f in rep.failures), kind
 
 
+# every failure text of one set whose grid falls and whose limits are 0.5,
+# in the order run_selftest records them, frozen from a run
+_FALLING_GRID_FAILURES = [
+    "mean at alpha=-8.0 below alpha=-16.0 (8.0 < 16.0)",
+    "mean at alpha=-4.0 below alpha=-8.0 (4.0 < 8.0)",
+    "mean at alpha=-2.0 below alpha=-4.0 (2.0 < 4.0)",
+    "mean at alpha=-1.0 below alpha=-2.0 (1.0 < 2.0)",
+    "mean at alpha=-0.5 below alpha=-1.0 (0.5 < 1.0)",
+    "mean at alpha=0.5 below alpha=-0.5 (-0.5 < 0.5)",
+    "mean at alpha=1.0 below alpha=0.5 (-1.0 < -0.5)",
+    "mean at alpha=2.0 below alpha=1.0 (-2.0 < -1.0)",
+    "mean at alpha=4.0 below alpha=2.0 (-4.0 < -2.0)",
+    "mean at alpha=8.0 below alpha=4.0 (-8.0 < -4.0)",
+    "grid means escape the [min, max] bracket",
+    "alpha=1e-06 mean far from geometric mean",
+    "alpha=-1e-06 mean far from geometric mean",
+    "alpha=200.0 mean not within 2% of max",
+    "PLUS_INF limit is not the exact max",
+    "MINUS_INF limit is not the exact min",
+]
+
+
+def test_wrong_means_fail_with_these_texts_and_counts(monkeypatch):
+    _wrong_means(monkeypatch, lambda a: -a, 0.5)
+    rep = selftest.run_selftest(seed=0, sets=2)
+    assert rep.failures == [f"set {i}: {text}" for i in (0, 1) for text in _FALLING_GRID_FAILURES]
+    assert (rep.monotonicity_checks, rep.limit_checks) == (24, 10)
+
+
 @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
 def test_cli_reports_a_failed_selftest(monkeypatch, capsys, fmt):
     _wrong_means(monkeypatch, lambda a: -a, 0.5)

@@ -242,9 +242,10 @@ def test_scan_matches_individual_reports():
 
 def test_scan_parallel_equals_serial():
     xs = [100, 500, 1_000, 5_000]
-    serial, _ = theorem1_scan(xs, 1.0, jobs=1)
-    parallel, _ = theorem1_scan(xs, 1.0, jobs=2)
+    serial = theorem1_scan(xs, 1.0, jobs=1)
+    parallel = theorem1_scan(xs, 1.0, jobs=2)
     assert parallel == serial
+    assert len(serial[0]) == len(xs) and serial[1] == []
 
 
 @pytest.mark.parametrize(
